@@ -34,7 +34,7 @@ import numpy as np
 from repro.api.artifacts import MultiLabelBundle
 from repro.api.errors import RegistryError
 from repro.baselines.base import CardinalityEstimator, TabularEstimator
-from repro.core.counts import PatternCounter, is_counter_like
+from repro.core.counts import PatternCounter
 from repro.core.sharding import make_counter
 from repro.core.errors import ErrorSummary, Objective
 from repro.core.estimator import LabelEstimator, MultiLabelEstimator
@@ -83,26 +83,17 @@ def _normalize(name: str) -> str:
     return name.strip().lower().replace("-", "_")
 
 
-def _as_counter(
-    source: Dataset | PatternCounter,
-    *,
-    shards: int | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> PatternCounter:
-    """Resolve the counting backend for a data-profiling factory.
+def _counter_of(source: Dataset | PatternCounter) -> PatternCounter:
+    """Resolve the counter for a data-profiling factory.
 
     Thin registry-flavored wrapper over
-    :func:`repro.core.sharding.make_counter`: counter-like objects pass
-    through, a dataset (or iterable of chunk datasets) is wrapped, and
-    ``shards``/``parallel``/``max_workers`` configure the sharded
-    backend.  Unbuildable sources fail with a :class:`RegistryError`
-    instead of a bare ``TypeError``.
+    :func:`repro.core.sharding.make_counter`: counters pass through, a
+    dataset (or iterable of chunk datasets) is wrapped, and unbuildable
+    sources fail with a :class:`RegistryError` instead of a bare
+    ``TypeError``.
     """
     try:
-        return make_counter(
-            source, shards=shards, parallel=parallel, max_workers=max_workers
-        )
+        return make_counter(source)
     except (TypeError, ValueError) as exc:
         raise RegistryError(
             f"this estimator profiles data: expected a Dataset, a "
@@ -227,20 +218,21 @@ def make_estimator(
         baselines).
     """
     spec = estimator_spec(name)
-    if spec.needs_data and not isinstance(source, (Dataset, PatternCounter)):
-        if is_counter_like(source):
+    if spec.needs_data:
+        if isinstance(source, PatternCounter) and source.n_shards > 1:
             # The sampling/DBMS baselines read raw rows (sample, codes),
-            # which merged counter backends deliberately do not expose.
+            # which a multi-shard counter's dataset view does not expose.
             raise RegistryError(
                 f"estimator {spec.name!r} needs raw row access and must "
-                f"be built from a Dataset (or plain PatternCounter); a "
-                f"{type(source).__name__} only serves merged counts"
+                f"be built from a Dataset (or single-shard counter); a "
+                f"{source.n_shards}-shard counter only serves merged counts"
             )
-        raise RegistryError(
-            f"estimator {spec.name!r} must be built from a dataset; it "
-            f"cannot be reconstructed from a "
-            f"{type(source).__name__} artifact"
-        )
+        if not isinstance(source, (Dataset, PatternCounter)):
+            raise RegistryError(
+                f"estimator {spec.name!r} must be built from a dataset; it "
+                f"cannot be reconstructed from a "
+                f"{type(source).__name__} artifact"
+            )
     try:
         return spec.factory(source, **params)
     except TypeError as exc:
@@ -299,9 +291,6 @@ def _label_factory(
     pattern_set: PatternSet | None = None,
     objective: Objective = Objective.MAX_ABS,
     algorithm: str = "top_down",
-    shards: int | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
     seed: int | None = None,  # accepted for uniformity; the search is
     # deterministic
 ) -> LabelEstimator:
@@ -311,14 +300,12 @@ def _label_factory(
     ``L_S(D)`` for ``attributes`` when given, else runs the search
     strategy named by ``algorithm`` (resolved through the strategy
     registry, so registered strategies that produce subset labels work
-    here too) under ``bound``.  ``shards``/``parallel`` switch counting
-    to the sharded backend (see :mod:`repro.core.sharding`).
+    here too) under ``bound``.  Pass a sharded counter
+    (:func:`repro.core.sharding.make_counter`) to count over shards.
     """
     if isinstance(source, Label):
         return LabelEstimator(source)
-    counter = _as_counter(
-        source, shards=shards, parallel=parallel, max_workers=max_workers
-    )
+    counter = _counter_of(source)
     if attributes is not None:
         return LabelEstimator(build_label(counter, attributes))
     fitted = make_strategy(algorithm).fit(
@@ -338,17 +325,12 @@ def _flexible_factory(
     bound: int = _DEFAULT_BOUND,
     pattern_set: PatternSet | None = None,
     max_arity: int | None = None,
-    shards: int | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
     seed: int | None = None,  # accepted for uniformity; greedy is deterministic
 ) -> FlexibleEstimator:
     """``flexible``: overlapping pattern counts (Section II-C extension)."""
     if isinstance(source, FlexibleLabel):
         return FlexibleEstimator(source)
-    counter = _as_counter(
-        source, shards=shards, parallel=parallel, max_workers=max_workers
-    )
+    counter = _counter_of(source)
     label = greedy_flexible_label(
         counter, bound, pattern_set=pattern_set, max_arity=max_arity
     )
@@ -363,9 +345,6 @@ def _multi_label_factory(
     n_labels: int = 2,
     reduce: str = "median",
     pattern_set: PatternSet | None = None,
-    shards: int | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
     seed: int | None = None,  # accepted for uniformity; deterministic
 ) -> MultiLabelEstimator:
     """``multi_label``: combine several labels of one dataset.
@@ -381,9 +360,7 @@ def _multi_label_factory(
         isinstance(item, Label) for item in source
     ):
         return MultiLabelEstimator(list(source), reduce=reduce)
-    counter = _as_counter(
-        source, shards=shards, parallel=parallel, max_workers=max_workers
-    )
+    counter = _counter_of(source)
     if subsets is None:
         result = top_down_search(counter, bound, pattern_set=pattern_set)
         chosen: list[tuple[str, ...]] = [result.attributes]
@@ -406,7 +383,7 @@ def _independence_factory(
     """``independence``: value counts only (Example 2.6 strawman)."""
     from repro.baselines.independence import IndependenceEstimator
 
-    return IndependenceEstimator(_as_counter(source).dataset)
+    return IndependenceEstimator(_counter_of(source).dataset)
 
 
 def _sampling_factory(
@@ -419,7 +396,7 @@ def _sampling_factory(
     """``sampling``: uniform sample sized ``bound + |VC|`` (Section IV-A)."""
     from repro.baselines.sampling import SamplingEstimator, sample_size_for_bound
 
-    dataset = _as_counter(source).dataset
+    dataset = _counter_of(source).dataset
     if sample_size is None:
         sample_size = sample_size_for_bound(dataset, bound)
     return SamplingEstimator(
@@ -443,7 +420,7 @@ def _dephist_factory(
         ) from None
     from repro.baselines.dephist import DependencyTreeEstimator
 
-    return DependencyTreeEstimator(_as_counter(source).dataset)
+    return DependencyTreeEstimator(_counter_of(source).dataset)
 
 
 def _postgres_factory(
@@ -461,7 +438,7 @@ def _postgres_factory(
     )
 
     return PostgresEstimator(
-        _as_counter(source).dataset,
+        _counter_of(source).dataset,
         np.random.default_rng(seed),
         statistics_target=(
             DEFAULT_STATISTICS_TARGET
@@ -536,34 +513,19 @@ class FittedLabel:
 
 @dataclass(frozen=True)
 class NaiveConfig:
-    """Options of the level-wise exhaustive search.
-
-    ``shards``/``parallel`` select the counting backend built for a
-    bare dataset (see :mod:`repro.core.sharding`); an already-built
-    counter passed to ``fit`` is used as-is.
-    """
+    """Options of the level-wise exhaustive search."""
 
     min_size: int = 2
     max_size: int | None = None
     time_limit_seconds: float | None = None
-    shards: int | None = None
-    parallel: bool = False
-    max_workers: int | None = None
 
 
 @dataclass(frozen=True)
 class TopDownConfig:
-    """Options of Algorithm 1 (top-down lattice traversal).
-
-    ``shards``/``parallel`` select the counting backend built for a
-    bare dataset (see :mod:`repro.core.sharding`).
-    """
+    """Options of Algorithm 1 (top-down lattice traversal)."""
 
     prune_parents: bool = True
     time_limit_seconds: float | None = None
-    shards: int | None = None
-    parallel: bool = False
-    max_workers: int | None = None
 
 
 @dataclass(frozen=True)
@@ -571,17 +533,13 @@ class BeamConfig:
     """Options of the width-limited best-first beam search.
 
     ``beam_width=None`` lifts the width limit, making the beam
-    exhaustive (identical winners to ``naive``); ``shards``/``parallel``
-    select the counting backend built for a bare dataset.
+    exhaustive (identical winners to ``naive``).
     """
 
     beam_width: int | None = None
     min_size: int = 2
     max_size: int | None = None
     time_limit_seconds: float | None = None
-    shards: int | None = None
-    parallel: bool = False
-    max_workers: int | None = None
 
 
 @dataclass(frozen=True)
@@ -591,29 +549,18 @@ class AnytimeConfig:
     The budget — ``time_limit_seconds`` wall-clock and/or
     ``max_candidates`` evaluations — degrades the answer instead of
     raising: the best label found so far is returned with
-    ``SearchResult.is_exact`` False.  ``shards``/``parallel`` select the
-    counting backend built for a bare dataset.
+    ``SearchResult.is_exact`` False.
     """
 
     time_limit_seconds: float | None = None
     max_candidates: int | None = None
-    shards: int | None = None
-    parallel: bool = False
-    max_workers: int | None = None
 
 
 @dataclass(frozen=True)
 class GreedyFlexibleConfig:
-    """Options of the greedy flexible-label construction.
-
-    ``shards``/``parallel`` select the counting backend built for a
-    bare dataset (see :mod:`repro.core.sharding`).
-    """
+    """Options of the greedy flexible-label construction."""
 
     max_arity: int | None = None
-    shards: int | None = None
-    parallel: bool = False
-    max_workers: int | None = None
 
 
 @dataclass(frozen=True)
@@ -786,17 +733,11 @@ class Strategy:
     ) -> FittedLabel:
         """Run the strategy on ``source`` under the size budget ``bound``.
 
-        A bare dataset is wrapped through the counter factory honoring
-        the config's ``shards``/``parallel`` knobs (third-party configs
-        without those fields get the plain counter); counter-like
-        sources are used as-is.
+        A bare dataset is wrapped in a single-shard counter; counters
+        (of any shard count — see :func:`repro.core.sharding.make_counter`)
+        are used as-is.
         """
-        counter = _as_counter(
-            source,
-            shards=getattr(self.config, "shards", None),
-            parallel=getattr(self.config, "parallel", False),
-            max_workers=getattr(self.config, "max_workers", None),
-        )
+        counter = _counter_of(source)
         return self.spec.runner(
             counter, bound, pattern_set, objective, self.config
         )

@@ -22,7 +22,7 @@ This package implements Sections II and III of the paper:
 """
 
 from repro.core.pattern import Pattern
-from repro.core.counts import PatternCounter, as_counter, is_counter_like
+from repro.core.counts import PatternCounter
 from repro.core.sharding import (
     ShardedPatternCounter,
     make_counter,
@@ -90,8 +90,6 @@ __all__ = [
     "ShardedPatternCounter",
     "make_counter",
     "merge_count_tables",
-    "as_counter",
-    "is_counter_like",
     "Label",
     "build_label",
     "label_size",

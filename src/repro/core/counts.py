@@ -1,17 +1,26 @@
 """The counting kernel: ``c_D(p)``, batched counting, joint count tables.
 
-:class:`PatternCounter` wraps a :class:`~repro.dataset.table.Dataset` and
-answers the count queries the labeling machinery needs:
+:class:`PatternCounter` answers the count queries the labeling machinery
+needs over an ordered list of K >= 1 *row sources* (:class:`RowSource`):
+an in-memory :class:`~repro.dataset.table.Dataset`, a shared-memory block
+a pool worker attaches, or a pack shard mapped on first touch
+(:mod:`repro.persist.pack`).  Every answer is additive or union-stable
+over a row partition — ``c_{D1 ∪ D2}(p) = c_{D1}(p) + c_{D2}(p)``, joint
+and key tables merge by summing the counts of equal keys, and ``|P_S|``
+is the size of the union of the per-source distinct sets — so a counter
+over K sources answers exactly as one over their concatenation, and
+K = 1 is the plain single-dataset counter:
 
 * :meth:`PatternCounter.count` — the exact count ``c_D(p)`` of one pattern
   (Definition 2.3), by vectorized mask intersection — the *scalar
-  reference path*, kept for parity testing of the batch kernel;
+  reference path*, kept for parity testing of the batch kernel and as
+  its radix-overflow fallback;
 * :meth:`PatternCounter.count_many` / :meth:`PatternCounter.counts_for_codes`
   — exact counts for a whole batch of patterns in one pass: patterns are
   grouped by attribute tuple, each group is radix-encoded into one
-  ``int64`` key per pattern, and the keys are resolved against the cached
-  sorted key table of the group's joint counts (one ``searchsorted``
-  instead of one boolean-mask intersection per pattern);
+  ``int64`` key per pattern, and the keys are resolved against the
+  group's :class:`KeyTable` (one ``searchsorted`` instead of one
+  boolean-mask intersection per pattern);
 * :meth:`PatternCounter.joint_table` / :meth:`PatternCounter.joint_tables`
   — the joint count table over attribute set(s) ``S`` (exactly the ``PC``
   content of ``L_S(D)``), cached per attribute set;
@@ -21,22 +30,26 @@ answers the count queries the labeling machinery needs:
 * :meth:`PatternCounter.label_size_many` — ``|P_S|`` for a whole batch of
   attribute sets in one call: every set reuses the shared encoded-column
   cache (each attribute's ``int64`` column is materialized once per
-  counter, not once per subset containing it) and distinct combinations
+  source, not once per subset containing it) and distinct combinations
   are counted with a dense ``bincount`` whenever the radix key space is
   small, instead of a sort per subset — the sizing kernel behind the
   level-wise phase of every search strategy.
 
-Value counts and value-count *fractions* (the independence factors of the
-estimation function) are cached per attribute; label sizes, joint tables
-and encoded key tables are cached per attribute set, because all are
-re-requested heavily during lattice search and batched estimation.  The
-counter assumes the dataset is immutable (datasets are); to profile a new
-snapshot of evolving data, call :meth:`PatternCounter.rebind`, which swaps
-the dataset *and* drops every cache — see :meth:`invalidate_caches`.
+Caching happens on two levels.  Each source caches the tables built over
+its own rows (``int64`` columns, key tables, joint tables, value counts),
+so a counter that gains a shard (:meth:`PatternCounter.add_shard`, the
+incremental insert path) builds tables for the new rows only; the counter
+caches the merged answers (plus fractions and label sizes).  Sources are
+immutable; to profile a new snapshot of evolving data, call
+:meth:`PatternCounter.rebind`, which swaps the rows *and* drops every
+cache — see :meth:`PatternCounter.invalidate_caches`.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,15 +61,16 @@ from repro.core.pattern import (
     encode_range_groups,
     split_by_ranges,
 )
-from repro.dataset.schema import MISSING_CODE
+from repro.dataset.schema import MISSING_CODE, Schema
 from repro.dataset.table import Dataset, combine_codes
 
 __all__ = [
+    "KeyTable",
     "PatternCounter",
-    "is_counter_like",
-    "as_counter",
-    "radix_fits",
+    "RowSource",
     "expand_run_segments",
+    "merge_count_tables",
+    "radix_fits",
 ]
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -125,9 +139,9 @@ def expand_run_segments(
 def radix_fits(schema, attributes: Sequence[str]) -> bool:
     """True when the Horner radix product over ``attributes`` fits 64 bits.
 
-    A schema-level property: every counter sharing the schema agrees, so
-    the sharded backend can decide mergeability without touching (or
-    materializing) any shard's data.  Beyond 64 bits
+    A schema-level property: every source sharing the schema agrees, so
+    a counter decides mergeability without touching (or materializing)
+    any source's data.  Beyond 64 bits
     :func:`~repro.dataset.table.combine_codes` re-factorizes through
     ``np.unique``, making keys data-dependent — dataset-side and
     query-side keys could then disagree.
@@ -140,352 +154,258 @@ def radix_fits(schema, attributes: Sequence[str]) -> bool:
         radix *= card
     return True
 
-#: The duck-typed counter interface every counting backend must serve.
-#: :class:`PatternCounter` is the reference implementation;
-#: :class:`repro.core.sharding.ShardedPatternCounter` is the merged
-#: multi-shard one.  Anything exposing these attributes flows through
-#: the whole stack (search, error evaluation, label construction).
-_COUNTER_ATTRS = (
-    "dataset",
-    "total_rows",
-    "count",
-    "count_many",
-    "counts_for_codes",
-    "value_counts",
-    "fractions",
-    "joint_table",
-    "joint_tables",
-    "label_size",
-    "distinct_full_rows",
-    "pattern_from_codes",
-)
 
+def _group_sums(
+    keys: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable group-by-sum over non-empty 1-D ``keys``.
 
-def is_counter_like(obj: object) -> bool:
-    """True when ``obj`` serves the counter interface the stack consumes.
-
-    The structural check behind every ``Dataset | counter`` parameter:
-    alternative counting backends (sharded, remote, ...) need not
-    subclass :class:`PatternCounter` — exposing the same query surface
-    is enough.
+    Returns ``(first, sums)``: ``first[g]`` indexes the first occurrence
+    of the ``g``-th distinct key in ascending key order, and ``sums[g]``
+    totals its ``counts``.  One stable argsort plus ``np.add.reduceat`` —
+    the merge step of :func:`merge_count_tables` and
+    :meth:`KeyTable.merge`.
     """
-    return all(hasattr(obj, attr) for attr in _COUNTER_ATTRS)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    boundaries = np.empty(sorted_keys.size, dtype=bool)
+    boundaries[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundaries[1:])
+    starts = np.flatnonzero(boundaries)
+    return order[starts], np.add.reduceat(counts[order], starts)
 
 
-def as_counter(source, counter_factory=None):
-    """Resolve ``source`` to a counting backend.
+def merge_count_tables(
+    parts: Sequence[tuple[np.ndarray, np.ndarray]], n_cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge per-shard ``(combos, counts)`` tables into one exact table.
 
-    The shared counter-factory hook of the search and evaluation layers:
-    existing counters (anything :func:`is_counter_like`) pass through
-    untouched; a :class:`~repro.dataset.table.Dataset` is wrapped by
-    ``counter_factory`` when given (e.g. a sharded-counter builder),
-    else by a plain :class:`PatternCounter`.
+    Count tables are additive: equal combination rows have their counts
+    summed, and the merged rows come out in lexicographic code order —
+    the same order :meth:`~repro.dataset.table.Dataset.joint_counts`
+    produces, so a merged table is indistinguishable from a table built
+    over the concatenated data.  Rows may contain ``-1`` (the
+    partial-support projections of missing-value relations).
+
+    Each combination row is collapsed into one ``int64`` Horner key
+    (codes shifted by +1 so missing markers encode too) and the merge is
+    a single 1-D stable argsort + ``np.add.reduceat`` — the row-wise
+    ``np.unique(axis=0)`` it replaces paid a void-dtype comparison per
+    element.  Horner keys over per-column radixes are monotone in the
+    row's lexicographic order (as is :func:`combine_codes`'s overflow
+    re-factorization, which ranks through a *sorted* unique), so the
+    output order is identical.
     """
-    if isinstance(source, PatternCounter) or is_counter_like(source):
-        return source
-    if isinstance(source, Dataset):
-        if counter_factory is not None:
-            return counter_factory(source)
-        return PatternCounter(source)
-    raise TypeError(
-        f"expected a Dataset or a counter-like object, got "
-        f"{type(source).__name__}"
+    empty = (
+        np.empty((0, n_cols), dtype=np.int32),
+        np.empty(0, dtype=np.int64),
     )
+    if not parts:
+        return empty
+    if len(parts) == 1:
+        # Per-shard tables are already lexicographically sorted and
+        # deduplicated (joint_counts/pattern_projections output).
+        combos = np.asarray(parts[0][0])
+        counts = np.asarray(parts[0][1], dtype=np.int64)
+        if combos.shape[0] == 0:
+            return empty
+        return combos.astype(np.int32, copy=False), counts
+    combos = np.vstack([np.asarray(p[0]) for p in parts])
+    counts = np.concatenate(
+        [np.asarray(p[1], dtype=np.int64) for p in parts]
+    )
+    if combos.shape[0] == 0:
+        return empty
+    shifted = combos.astype(np.int64) + 1  # missing (-1) becomes 0
+    cards = shifted.max(axis=0) + 1
+    keys = combine_codes(shifted, [int(c) for c in cards])
+    first, merged = _group_sums(keys, counts)
+    return combos[first].astype(np.int32, copy=False), merged
 
 
-class PatternCounter:
-    """Count oracle over one dataset.
+@dataclass(frozen=True, eq=False)
+class KeyTable:
+    """Sorted distinct radix keys over one attribute set, with row counts.
 
-    Parameters
-    ----------
-    dataset:
-        The relation to profile.  The counter holds a reference (datasets
-        are immutable) and builds caches lazily.
+    The group-by of a source's encoded rows (see
+    :meth:`RowSource.row_keys`): ``keys`` ascend without repeats and
+    ``counts[i]`` rows carry key ``keys[i]``.  Keys are plain Horner codes
+    over the schema's cardinalities, so the tables of sources sharing a
+    schema are comparable and the table of their union is the
+    :meth:`merge` of theirs.  Every batched count is a probe into one:
+    :meth:`lookup` for equality codes, :meth:`range_sum` for the key
+    segments of range predicates.
     """
 
-    def __init__(self, dataset: Dataset) -> None:
+    keys: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def from_keys(cls, row_keys: np.ndarray) -> "KeyTable":
+        """Group encoded row keys (one ``np.unique``)."""
+        keys, counts = np.unique(row_keys, return_counts=True)
+        return cls(keys, counts.astype(np.int64, copy=False))
+
+    @classmethod
+    def merge(cls, parts: Sequence["KeyTable"]) -> "KeyTable":
+        """Sum-merge the tables of disjoint row sets (one schema)."""
+        if len(parts) == 1:
+            return parts[0]
+        keys = np.concatenate([part.keys for part in parts])
+        counts = np.concatenate([part.counts for part in parts])
+        if keys.size == 0:
+            return cls(
+                keys.astype(np.int64, copy=False),
+                counts.astype(np.int64, copy=False),
+            )
+        first, sums = _group_sums(keys, counts)
+        return cls(keys[first], sums)
+
+    @cached_property
+    def _cumsum(self) -> np.ndarray:
+        """Exclusive prefix sums of ``counts``: ``cum[i]`` rows rank below
+        key ``i``.  Built on the first range query."""
+        cum = np.cumsum(self.counts, dtype=np.int64)
+        return np.concatenate((np.zeros(1, dtype=np.int64), cum))
+
+    def lookup(self, query_keys: np.ndarray) -> np.ndarray:
+        """Row count of each query key (0 for keys absent from the data)."""
+        if self.keys.size == 0:
+            return np.zeros(query_keys.shape[0], dtype=np.int64)
+        idx = np.minimum(
+            np.searchsorted(self.keys, query_keys), self.keys.size - 1
+        )
+        found = self.keys[idx] == query_keys
+        return np.where(found, self.counts[idx], 0).astype(np.int64)
+
+    def range_sum(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Rows whose key lies in ``[lo[s], hi[s])``, per segment ``s`` —
+        two binary probes into the cumulative counts."""
+        cum = self._cumsum
+        return (
+            cum[np.searchsorted(self.keys, hi)]
+            - cum[np.searchsorted(self.keys, lo)]
+        )
+
+
+class RowSource:
+    """One shard of a counter's rows, plus the tables built over them.
+
+    The base class holds an in-memory :class:`~repro.dataset.table.Dataset`
+    (a shared-memory block a pool worker attaches is one, too); the pack
+    reader's sources (:mod:`repro.persist.pack`) map a shard file on
+    first touch and adopt its persisted key and joint tables.  Cached
+    arrays are treated as immutable — mapped and computed entries are
+    interchangeable — and :meth:`clear` drops them all.
+    """
+
+    #: Zero-copy worker address of a pack-backed source
+    #: (:class:`repro.core.parallel.PackShardRef`); ``None`` for
+    #: in-memory sources, which a worker pool exports to shared memory.
+    pack_shard_ref = None
+
+    def __init__(self, dataset: Dataset | None) -> None:
+        # None: a subclass that maps its rows on first access.
         self._dataset = dataset
-        self._init_caches()
+        self.clear()
 
-    def _init_caches(self) -> None:
-        """Fresh (empty) cache dictionaries.
-
-        Split out of ``__init__`` so the pack-backed subclass
-        (:class:`repro.persist.pack.PackedPatternCounter`) can construct
-        itself *without* a dataset: its dataset and warm caches are
-        installed lazily when a query first touches the shard file.
-        """
-        self._value_counts: dict[str, dict[Hashable, int]] = {}
-        self._fractions: dict[str, np.ndarray] = {}
-        self._label_sizes: dict[tuple[str, ...], int] = {}
-        self._full_rows: tuple[np.ndarray, np.ndarray] | None = None
+    def clear(self) -> None:
+        """Drop every table built over this source's rows."""
+        # Per attribute: the code column widened to int64 plus its
+        # presence mask, reused by every attribute set containing it.
+        self._columns64: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._key_tables: dict[tuple[str, ...], KeyTable] = {}
         self._joint_tables: dict[
             tuple[str, ...], tuple[np.ndarray, np.ndarray]
         ] = {}
-        # Shared encoded-column cache, two levels.  Per attribute: the
-        # code column widened to int64 plus its presence mask (reused by
-        # every attribute set containing the attribute).  Per attribute
-        # set: the int64 row ids of the fully-present rows (plain Horner
-        # radix encoding), or None when the radix product overflows 64
-        # bits (the encoding is then not stable across calls, so
-        # dataset-side and query-side keys cannot be compared).
-        self._columns64: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._row_keys: dict[tuple[str, ...], np.ndarray | None] = {}
-        # attribute set -> (sorted unique row ids, counts): the group-by
-        # of the encoded rows, built lazily on the second batch over the
-        # same attribute set (a one-shot batch is cheaper via bincount).
-        self._key_tables: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
-        self._key_queries: dict[tuple[str, ...], int] = {}
-        # attribute set -> exclusive prefix sums of the key-table counts
-        # (cum[i] = rows whose key ranks below key i): the range kernel's
-        # companion of _key_tables, so a [lo, hi) key segment resolves
-        # with two binary probes.
-        self._key_cumsums: dict[tuple[str, ...], np.ndarray] = {}
-
-    # -- cache lifecycle ----------------------------------------------------------
-
-    def invalidate_caches(self) -> None:
-        """Drop every derived cache.
-
-        Required after the counter is rebound to a different dataset
-        snapshot (see :meth:`rebind`); datasets themselves are immutable,
-        so a counter over an unchanged dataset never needs this.
-        """
-        self._value_counts.clear()
-        self._fractions.clear()
-        self._label_sizes.clear()
-        self._full_rows = None
-        self._joint_tables.clear()
-        self._columns64.clear()
-        self._row_keys.clear()
-        self._key_tables.clear()
-        self._key_queries.clear()
-        self._key_cumsums.clear()
-
-    def rebind(self, dataset: Dataset) -> "PatternCounter":
-        """Point this counter at a new dataset snapshot and drop caches.
-
-        This is the maintenance hook: :class:`~repro.core.maintenance`
-        evolves the relation through insert/delete batches, and a counter
-        carried across those updates would otherwise keep serving
-        fractions, label sizes and joint tables of the *old* snapshot.
-        Returns ``self`` for chaining.
-        """
-        self._dataset = dataset
-        self.invalidate_caches()
-        return self
+        self._value_counts: dict[str, dict[Hashable, int]] = {}
+        self._full_rows: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dataset(self) -> Dataset:
-        """The profiled dataset."""
+        """The source's rows."""
         return self._dataset
 
     @property
-    def total_rows(self) -> int:
-        """``|D|``."""
-        return self._dataset.n_rows
+    def schema(self) -> Schema:
+        return self.dataset.schema
 
-    # -- persistence --------------------------------------------------------------
+    @property
+    def rows(self) -> int:
+        return self.dataset.n_rows
 
-    def _persist_arrays(
-        self, *, include_caches: bool = True
-    ) -> list[tuple[str, tuple[str, ...] | None, np.ndarray]]:
-        """``(role, attributes, array)`` triples for the pack writer.
-
-        The code matrix is the mandatory payload; with
-        ``include_caches`` the warm caches the batch kernel built —
-        radix row-id tables, sorted key tables, joint tables — ride
-        along so a reopened counter starts where this one left off.
-        The per-attribute ``int64`` columns (:attr:`_columns64`) are
-        *not* persisted: they are a cheap widening of the code matrix.
-        """
-        arrays: list[tuple[str, tuple[str, ...] | None, np.ndarray]] = [
-            ("codes", None, self._dataset.codes_matrix())
-        ]
-        if include_caches:
-            for attrs, keys in self._row_keys.items():
-                if keys is not None:  # None marks a radix-overflow set
-                    arrays.append(("row_keys", attrs, keys))
-            for attrs, (keys, counts) in self._key_tables.items():
-                arrays.append(("key_keys", attrs, keys))
-                arrays.append(("key_counts", attrs, counts))
-            for attrs, (combos, counts) in self._joint_tables.items():
-                arrays.append(("joint_combos", attrs, combos))
-                arrays.append(("joint_counts", attrs, counts))
-        return arrays
-
-    def _install_persisted_caches(
-        self,
-        row_keys: Mapping[tuple[str, ...], np.ndarray],
-        key_tables: Mapping[tuple[str, ...], tuple[np.ndarray, np.ndarray]],
-        joint_tables: Mapping[tuple[str, ...], tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        """Adopt warm caches mapped from a pack shard.
-
-        The arrays are read-only memmap views; every cache consumer
-        treats cached arrays as immutable already, so mapped and
-        computed entries are interchangeable.  ``invalidate_caches``
-        (maintenance, rebinding) simply drops the views — copy-on-write
-        at whole-cache granularity.
-        """
-        self._row_keys.update(row_keys)
-        self._key_tables.update(key_tables)
-        self._joint_tables.update(joint_tables)
-
-    def dump(
-        self,
-        path,
-        *,
-        labels: Mapping[str, object] | None = None,
-        include_caches: bool = True,
-    ):
-        """Write this counter's fit state as a ``repro-pack/1`` directory.
-
-        See :func:`repro.persist.pack.write_pack` (which this wraps) for
-        the format; ``labels`` optionally packs label artifacts next to
-        the counter state.  Returns the pack directory path.
-        """
-        from repro.persist.pack import write_pack
-
-        return write_pack(
-            path, self, labels=labels, include_caches=include_caches
-        )
-
-    @classmethod
-    def from_pack(cls, path, *, verify: str = "lazy") -> "PatternCounter":
-        """Reopen a single-shard pack as a lazily-mapped counter.
-
-        The returned counter reads no shard bytes until first queried
-        (see :class:`repro.persist.pack.PackedPatternCounter`).  Packs
-        with several shards belong to
-        :meth:`repro.core.sharding.ShardedPatternCounter.from_pack`.
-        ``verify`` is the reader's checksum policy (see
-        :func:`repro.persist.pack.open_pack`).
-        """
-        from repro.persist.pack import open_pack
-
-        reader = open_pack(path, verify=verify)
-        if reader.n_shards != 1:
-            raise ValueError(
-                f"pack {path} holds {reader.n_shards} shards; load it "
-                "through ShardedPatternCounter.from_pack (or "
-                "repro.persist.open_pack(path).counter())"
-            )
-        return reader.shard_counter(0)
-
-    # -- single-pattern counting ----------------------------------------------
+    # -- scalar mask path -------------------------------------------------------
 
     def count(self, pattern: Pattern) -> int:
-        """Exact count ``c_D(p)`` by vectorized mask intersection.
+        """Mask-intersection count of ``pattern`` over this source.
 
-        The scalar reference path of the batch kernels, for equality and
-        range bindings alike: an equality contributes one ``codes ==
-        code`` mask, a range predicate ORs together one mask per
-        matching code run (missing values, code ``-1``, fall outside
-        every run and so never satisfy a predicate).
+        An equality contributes one ``codes == code`` mask, a range
+        predicate ORs together one mask per matching code run (missing
+        values, code ``-1``, fall outside every run and so never satisfy
+        a predicate).
         """
-        schema = self._dataset.schema
+        dataset = self.dataset
+        schema = dataset.schema
         mask: np.ndarray | None = None
         for attribute, value in pattern.items_sorted:
-            codes = self._dataset.codes(attribute)
+            codes = dataset.codes(attribute)
             if isinstance(value, Predicate):
                 column_mask = np.zeros(codes.shape, dtype=bool)
                 for lo, hi in schema[attribute].code_runs(value):
                     column_mask |= (codes >= lo) & (codes < hi)
             else:
-                code = schema[attribute].code_of(value)
-                column_mask = codes == code
+                column_mask = codes == schema[attribute].code_of(value)
             mask = column_mask if mask is None else (mask & column_mask)
             if not mask.any():
                 return 0
         assert mask is not None  # patterns are non-empty
         return int(mask.sum())
 
-    # -- batched counting ---------------------------------------------------------
+    def count_runs(
+        self,
+        attributes: Sequence[str],
+        runs: Sequence[Sequence[tuple[int, int]]],
+    ) -> int:
+        """Mask-intersection count of one code-run row (fallback path)."""
+        dataset = self.dataset
+        mask: np.ndarray | None = None
+        for attribute, attr_runs in zip(attributes, runs):
+            codes = dataset.codes(attribute)
+            column_mask = np.zeros(codes.shape, dtype=bool)
+            for lo, hi in attr_runs:
+                column_mask |= (codes >= lo) & (codes < hi)
+            mask = column_mask if mask is None else (mask & column_mask)
+            if not mask.any():
+                return 0
+        assert mask is not None
+        return int(mask.sum())
 
-    def _radix_fits(self, attributes: tuple[str, ...]) -> bool:
-        """True when the plain positional encoding over ``attributes`` is
-        stable across calls (see :func:`radix_fits`)."""
-        return radix_fits(self._dataset.schema, attributes)
+    # -- radix keys -------------------------------------------------------------
 
-    def encoded_rows(
-        self, attributes: Sequence[str]
-    ) -> np.ndarray | None:
-        """Integer row ids of the fully-present rows over ``attributes``.
+    def row_keys(self, attributes: Sequence[str]) -> np.ndarray:
+        """Horner radix keys of the rows fully present over ``attributes``.
 
-        The shared encoded-column cache of the batch kernel: each row of
-        the projection onto ``attributes`` with no missing value is
-        collapsed into one ``int64`` radix key.  Two rows share a key iff
-        they agree on every listed attribute, and a query pattern's key
-        (same encoding of its codes) matches exactly the rows that
-        satisfy it.  Returns ``None`` when the radix product overflows 64
-        bits (callers fall back to the scalar path).  Cached per
-        attribute tuple.
+        Two rows share a key iff they agree on every listed attribute,
+        and a query pattern's key (same encoding of its codes) matches
+        exactly the rows that satisfy it.  Computed fresh per call — a
+        search touches ``C(n, k)`` subsets per lattice level and caching
+        every key array would swamp memory — over the cached per-attribute
+        ``int64`` columns.  The caller must have checked
+        :func:`radix_fits`.
         """
-        attrs = tuple(attributes)
-        if attrs in self._row_keys:
-            return self._row_keys[attrs]
-        if not self._radix_fits(attrs):
-            self._row_keys[attrs] = None
-            return None
-        schema = self._dataset.schema
-        keys: np.ndarray | None = None
-        present: np.ndarray | None = None
-        for attribute in attrs:
-            cached = self._columns64.get(attribute)
-            if cached is None:
-                codes = self._dataset.codes(attribute)
-                cached = (
-                    codes.astype(np.int64),
-                    codes != MISSING_CODE,
-                )
-                self._columns64[attribute] = cached
-            column, column_present = cached
-            card = schema[attribute].cardinality
-            # Horner accumulation over cached int64 columns; missing
-            # codes (-1) may pollute a key, but those rows are dropped
-            # by the presence mask below.
-            keys = column if keys is None else keys * card + column
-            present = (
-                column_present
-                if present is None
-                else (present & column_present)
-            )
-        assert keys is not None and present is not None
-        # Both caches are internal and read-only, so a single-attribute
-        # key array may alias the cached column.
-        keys = keys if present.all() else keys[present]
-        self._row_keys[attrs] = keys
-        return keys
-
-    def _horner_keys(
-        self, attributes: tuple[str, ...]
-    ) -> tuple[np.ndarray, int]:
-        """``(keys, radix)`` over ``attributes`` for the fully-present rows.
-
-        Same encoding as :meth:`encoded_rows` (so keys are comparable
-        with the dataset-side caches), but the per-set key array is
-        *not* cached — batched sizing touches ``C(n, k)`` subsets per
-        lattice level and caching every key array would swamp memory.
-        The per-attribute ``int64`` columns it accumulates over *are*
-        the shared :attr:`_columns64` cache.  The caller must have
-        checked :meth:`_radix_fits`.
-        """
-        schema = self._dataset.schema
+        dataset = self.dataset
         keys: np.ndarray | None = None
         borrowed = False  # keys still aliases a cached column
         present: np.ndarray | None = None
-        radix = 1
-        all_present = not self._dataset.has_missing
+        all_present = not dataset.has_missing
         for attribute in attributes:
             cached = self._columns64.get(attribute)
             if cached is None:
-                codes = self._dataset.codes(attribute)
+                codes = dataset.codes(attribute)
                 cached = (codes.astype(np.int64), codes != MISSING_CODE)
                 self._columns64[attribute] = cached
             column, column_present = cached
-            card = schema[attribute].cardinality
-            radix *= card
+            card = dataset.schema[attribute].cardinality
             if keys is None:
                 # Borrow the first column; the accumulator materializes
                 # on the *second* attribute, whose multiply then
@@ -500,6 +420,8 @@ class PatternCounter:
             else:
                 np.multiply(keys, card, out=keys)
                 np.add(keys, column, out=keys)
+            # Missing codes (-1) may pollute a key, but those rows are
+            # dropped by the presence mask below.
             if not all_present:
                 present = (
                     column_present
@@ -511,154 +433,592 @@ class PatternCounter:
             keys = keys.copy()  # never hand out the cached column itself
         if present is not None and not present.all():
             keys = keys[present]
-        return keys, radix
+        return keys
 
-    def distinct_keys(self, attributes: Sequence[str]) -> np.ndarray | None:
-        """Sorted distinct radix keys over ``attributes``, or ``None``.
-
-        The mergeable face of label sizing: two counters sharing one
-        schema produce comparable keys, so ``|P_S|`` of their union is
-        the size of the union of their key sets (how
-        :class:`~repro.core.sharding.ShardedPatternCounter` sizes
-        subsets shard-parallel).  Returns ``None`` when the radix
-        encoding is unusable — the dataset has missing values (partial
-        projections need the ``n_distinct`` accounting) or the radix
-        product overflows 64 bits.
-        """
-        attrs = tuple(attributes)
-        if not attrs or self._dataset.has_missing or not self._radix_fits(
-            attrs
-        ):
-            return None
-        keys, radix = self._horner_keys(attrs)
-        if keys.size == 0:
-            return np.empty(0, dtype=np.int64)
-        # Dense path mirrors _distinct_key_count: while the key space
-        # stays near the row count, flatnonzero over one bincount emits
-        # the sorted distinct keys in O(n + radix) — the sort (or hash)
-        # a generic np.unique would pay dominates shard sizing.
-        if radix <= min(1 << 24, max(1 << 16, 8 * keys.size)):
-            return np.flatnonzero(np.bincount(keys, minlength=radix))
-        return np.unique(keys)
-
-    def label_size_many(
-        self, attribute_sets: Iterable[Sequence[str]]
-    ) -> np.ndarray:
-        """``|P_S|`` for a whole batch of attribute sets in one call.
-
-        The batched sizing kernel of the search driver: equivalent to
-        ``[self.label_size(S) for S in attribute_sets]`` — the scalar
-        path stays as the parity reference — but each subset's keys are
-        accumulated over the shared cached ``int64`` columns (no
-        per-subset ``codes_matrix`` stack, mask pass, or schema lookup
-        loop) and distinct combinations are counted with one dense
-        ``bincount`` whenever the subset's radix key space stays within
-        a small multiple of the row count (``O(n + radix)`` instead of
-        a sort).  Results land in (and are served from) the same
-        per-set cache as :meth:`label_size`.  Missing-value relations
-        and 64-bit radix overflows fall back to the scalar path per
-        subset.
-        """
-        requested = [tuple(attrs) for attrs in attribute_sets]
-        out = np.empty(len(requested), dtype=np.int64)
-        for position, attrs in enumerate(requested):
-            size = self._label_sizes.get(attrs)
-            if size is None:
-                if (
-                    not attrs
-                    or self._dataset.has_missing
-                    or not self._radix_fits(attrs)
-                ):
-                    size = self._dataset.n_distinct(list(attrs))
-                else:
-                    size = self._distinct_key_count(attrs)
-                self._label_sizes[attrs] = size
-            out[position] = size
-        return out
-
-    def _distinct_key_count(self, attrs: tuple[str, ...]) -> int:
-        """Distinct-combination count via radix keys (no-missing data)."""
-        keys, radix = self._horner_keys(attrs)
-        if keys.size == 0:
-            return 0
-        # Dense path: one O(n + radix) bincount beats the O(n log n)
-        # sort while the key space stays near the row count; the cap
-        # bounds the scratch allocation (int64 counts, 8 B per slot).
-        if radix <= min(1 << 24, max(1 << 16, 8 * keys.size)):
-            return int(np.count_nonzero(np.bincount(keys, minlength=radix)))
-        sorted_keys = np.sort(keys)
-        return int(
-            1 + np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1])
-        )
-
-    def _key_table(
-        self, attributes: tuple[str, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted group-by ``(unique row ids, counts)`` over ``attributes``.
-
-        Built from :meth:`encoded_rows` (one ``np.unique``), cached, and
-        thereafter answers any batch in ``O(m log k)`` — the caller must
-        have checked that the radix encoding fits.
-        """
+    def key_table(self, attributes: tuple[str, ...]) -> KeyTable:
+        """The :class:`KeyTable` of this source over ``attributes``
+        (cached; the caller must have checked :func:`radix_fits`)."""
+        self.dataset  # first, so a pack shard adopts its persisted tables
         table = self._key_tables.get(attributes)
         if table is None:
-            row_keys = self.encoded_rows(attributes)
-            assert row_keys is not None  # caller checked the radix fit
-            keys, counts = np.unique(row_keys, return_counts=True)
-            table = (keys, counts.astype(np.int64, copy=False))
+            table = KeyTable.from_keys(self.row_keys(attributes))
             self._key_tables[attributes] = table
         return table
 
-    def key_table(
-        self, attributes: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Sorted ``(unique row ids, counts)`` over ``attributes``.
+    def _distinct(self, attributes: tuple[str, ...], count_only: bool):
+        """Distinct radix keys (or their number) over ``attributes``;
+        ``None`` when missing values or a 64-bit overflow rule the radix
+        encoding out."""
+        dataset = self.dataset
+        if (
+            not attributes
+            or dataset.has_missing
+            or not radix_fits(dataset.schema, attributes)
+        ):
+            return None
+        keys = self.row_keys(attributes)
+        radix = math.prod(dataset.schema[a].cardinality for a in attributes)
+        # Dense path: one O(n + radix) bincount beats the O(n log n) sort
+        # while the key space stays near the row count; the cap bounds
+        # the scratch allocation (int64 counts, 8 B per slot).
+        if radix <= min(1 << 24, max(1 << 16, 8 * keys.size)):
+            seen = np.bincount(keys, minlength=radix)
+            if count_only:
+                return int(np.count_nonzero(seen))
+            return np.flatnonzero(seen)
+        unique = np.unique(keys)
+        return int(unique.size) if count_only else unique
 
-        The mergeable counting face of the counter: two counters sharing
-        one schema produce comparable keys, so the key table of their
-        union is the sum-merge of their key tables — how
-        :class:`~repro.core.sharding.ShardedPatternCounter` builds its
-        merged tables (in process or in pool workers).  Returns ``None``
-        when the radix encoding cannot serve the attribute set (64-bit
-        overflow); missing values are fine — absent rows simply do not
-        contribute keys, exactly as in the single-counter batch kernel.
+    def distinct_keys(self, attributes: tuple[str, ...]) -> np.ndarray | None:
+        """Sorted distinct radix keys over ``attributes``, or ``None``.
+
+        The mergeable face of label sizing: ``|P_S|`` of a union of
+        sources is the size of the union of their key sets.  ``None``
+        when the radix encoding is unusable — missing values (partial
+        projections need the ``n_distinct`` accounting) or a 64-bit
+        radix overflow.
+        """
+        return self._distinct(attributes, count_only=False)
+
+    def distinct_count(self, attributes: tuple[str, ...]) -> int:
+        """``|P_S|`` of this source alone (the single-source sizing kernel)."""
+        size = self._distinct(attributes, count_only=True)
+        if size is None:
+            return self.dataset.n_distinct(list(attributes))
+        return size
+
+    # -- cached tables ----------------------------------------------------------
+
+    def joint_table(
+        self, attributes: tuple[str, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """This source's joint count table over ``attributes`` (cached)."""
+        dataset = self.dataset  # first, as in key_table
+        table = self._joint_tables.get(attributes)
+        if table is None:
+            table = dataset.joint_counts(list(attributes))
+            self._joint_tables[attributes] = table
+        return table
+
+    def value_counts(self, attribute: str) -> dict[Hashable, int]:
+        counts = self._value_counts.get(attribute)
+        if counts is None:
+            counts = self.dataset.value_counts(attribute)
+            self._value_counts[attribute] = counts
+        return counts
+
+    def full_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct fully-present rows of this source with their counts."""
+        if self._full_rows is None:
+            dataset = self.dataset
+            self._full_rows = dataset.joint_counts(
+                list(dataset.attribute_names)
+            )
+        return self._full_rows
+
+    def persisted_arrays(
+        self, *, include_caches: bool = True
+    ) -> list[tuple[str, tuple[str, ...] | None, np.ndarray]]:
+        """``(role, attributes, array)`` triples for the pack writer.
+
+        The code matrix is the mandatory payload; with
+        ``include_caches`` the warm key and joint tables ride along so a
+        reopened source starts where this one left off.  The ``int64``
+        columns are a cheap widening of the code matrix and stay out.
+        """
+        arrays: list[tuple[str, tuple[str, ...] | None, np.ndarray]] = [
+            ("codes", None, self.dataset.codes_matrix())
+        ]
+        if include_caches:
+            for attrs, table in self._key_tables.items():
+                arrays.append(("key_keys", attrs, table.keys))
+                arrays.append(("key_counts", attrs, table.counts))
+            for attrs, (combos, counts) in self._joint_tables.items():
+                arrays.append(("joint_combos", attrs, combos))
+                arrays.append(("joint_counts", attrs, counts))
+        return arrays
+
+
+def _partition(dataset: Dataset, n_shards: int) -> list[Dataset]:
+    """``n_shards`` contiguous zero-copy row ranges of ``dataset``
+    (:meth:`~repro.dataset.table.Dataset.row_slice`); one shard is the
+    dataset itself."""
+    if n_shards == 1:
+        return [dataset]
+    boundaries = np.linspace(0, dataset.n_rows, n_shards + 1, dtype=np.int64)
+    return [
+        dataset.row_slice(boundaries[i], boundaries[i + 1])
+        for i in range(n_shards)
+    ]
+
+
+class PatternCounter:
+    """Exact count oracle over K >= 1 row sources sharing one schema.
+
+    Parameters
+    ----------
+    source:
+        A :class:`~repro.dataset.table.Dataset` or :class:`RowSource`
+        (K = 1), or a non-empty sequence of them in row order — e.g. the
+        chunks of :func:`~repro.dataset.csvio.read_csv_chunks`.  Use
+        :meth:`from_dataset` to partition one dataset into K shards.
+    parallel:
+        Run per-source table builds on a persistent pool of zero-copy
+        workers (:class:`repro.core.parallel.ShardWorkerPool`): spawned
+        lazily on the first parallel query, reused across
+        ``count_many`` / ``joint_tables`` / ``label_size_many`` / fit,
+        shut down via :meth:`close` (or the context manager) and
+        re-created after a crashed worker.  Tasks ship source
+        *references*, not data — pack-backed sources are re-mapped
+        read-only in each worker, in-memory ones are exported once to
+        shared memory.  Merging always happens in the calling process,
+        and K = 1 counters ignore the flag.
+    max_workers:
+        Pool size cap, clamped to ``min(max_workers, n_shards)``
+        (default: ``min(n_shards, os.cpu_count())``).
+    """
+
+    def __init__(
+        self,
+        source: Dataset | RowSource | Sequence[Dataset | RowSource],
+        *,
+        parallel: bool = False,
+        max_workers: int | None = None,
+    ) -> None:
+        single = isinstance(source, (Dataset, RowSource))
+        items = [source] if single else list(source)
+        if not items:
+            raise ValueError("at least one shard is required")
+        sources: list[RowSource] = []
+        for position, item in enumerate(items):
+            if isinstance(item, Dataset):
+                item = RowSource(item)
+            elif not isinstance(item, RowSource):
+                raise TypeError(
+                    f"shard {position} is a {type(item).__name__}, "
+                    "expected Dataset"
+                )
+            if sources and item.schema != sources[0].schema:
+                raise ValueError(
+                    f"shard {position} has a different schema; all shards "
+                    "must share one schema (pin domains when chunking)"
+                )
+            sources.append(item)
+        self._sources = sources
+        self._schema = sources[0].schema
+        self._parallel = bool(parallel)
+        self._max_workers = max_workers
+        self._pool = None  # ShardWorkerPool, created lazily
+        self._view = None  # ShardedDatasetView, created lazily (K > 1)
+        self._drop_merged_caches()
+
+    # -- constructors -------------------------------------------------------------
+
+    @classmethod
+    def from_dataset(
+        cls,
+        dataset: Dataset,
+        n_shards: int,
+        *,
+        parallel: bool = False,
+        max_workers: int | None = None,
+    ) -> "PatternCounter":
+        """Partition ``dataset`` into ``n_shards`` contiguous row ranges.
+
+        Shards are zero-copy row-range views
+        (:meth:`~repro.dataset.table.Dataset.row_slice`) — partitioning
+        never duplicates the code matrix.
+        """
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        return cls(
+            _partition(dataset, n_shards),
+            parallel=parallel,
+            max_workers=max_workers,
+        )
+
+    @classmethod
+    def from_counters(
+        cls,
+        counters: Sequence["PatternCounter"],
+        schema: Schema,
+        *,
+        parallel: bool = False,
+        max_workers: int | None = None,
+    ) -> "PatternCounter":
+        """One counter over the sources of ``counters``, in order.
+
+        The sources — and the per-source tables they cached — are
+        shared, not copied, and a pack-backed source stays unread until a
+        query needs it.  ``schema`` must be the sources' shared schema.
+        """
+        counter = cls(
+            [source for part in counters for source in part.sources],
+            parallel=parallel,
+            max_workers=max_workers,
+        )
+        if counter.schema != schema:
+            raise ValueError("the shard counters' schema differs from schema")
+        return counter
+
+    @classmethod
+    def from_pack(
+        cls,
+        path,
+        *,
+        parallel: bool = False,
+        max_workers: int | None = None,
+        verify: str = "lazy",
+    ) -> "PatternCounter":
+        """Reopen a pack as a counter over its lazily-mapped shards.
+
+        Every shard stays unread (not even checksummed) until a query
+        touches it.  ``verify`` is the checksum policy of the underlying
+        reader (see :func:`repro.persist.pack.open_pack`).
+        """
+        from repro.persist.pack import open_pack
+
+        return open_pack(path, verify=verify).counter(
+            parallel=parallel, max_workers=max_workers
+        )
+
+    def dump(
+        self,
+        path,
+        *,
+        labels: Mapping[str, object] | None = None,
+        include_caches: bool = True,
+    ):
+        """Write this counter's fit state as a ``repro-pack/1`` directory.
+
+        One binary file per source (see
+        :func:`repro.persist.pack.write_pack`, which this wraps);
+        ``labels`` optionally packs label artifacts next to the counter
+        state.  Returns the pack directory path.
+        """
+        from repro.persist.pack import write_pack
+
+        return write_pack(
+            path, self, labels=labels, include_caches=include_caches
+        )
+
+    # -- shard lifecycle ----------------------------------------------------------
+
+    @property
+    def sources(self) -> tuple[RowSource, ...]:
+        """The row sources, in row order."""
+        return tuple(self._sources)
+
+    @property
+    def shards(self) -> tuple[Dataset, ...]:
+        """The shard datasets, in row order (maps every pack shard)."""
+        return tuple(source.dataset for source in self._sources)
+
+    @property
+    def shard_counters(self) -> tuple["PatternCounter", ...]:
+        """One K = 1 counter per source, in row order, sharing the
+        sources' cached tables."""
+        return tuple(PatternCounter(source) for source in self._sources)
+
+    @property
+    def n_shards(self) -> int:
+        return len(self._sources)
+
+    def add_shard(self, dataset: Dataset) -> "PatternCounter":
+        """Append a shard — the incremental path for evolving data.
+
+        An insert batch becomes a new source: the existing sources (and
+        their tables) are untouched; only the merged-layer caches are
+        dropped and lazily re-merged from the per-source tables, most of
+        which are already cached.  A 0-row batch is a no-op.  Returns
+        ``self``.
+        """
+        if dataset.schema != self._schema:
+            raise ValueError(
+                "new shard's schema differs from the counter's schema"
+            )
+        if dataset.n_rows == 0:
+            return self
+        self._sources.append(RowSource(dataset))
+        self._drop_merged_caches()
+        return self
+
+    def rebind(self, dataset: Dataset) -> "PatternCounter":
+        """Point this counter at a new snapshot and drop every cache.
+
+        This is the maintenance hook: :class:`~repro.core.maintenance`
+        evolves the relation through insert/delete batches, and a counter
+        carried across those updates would otherwise keep serving
+        fractions, label sizes and joint tables of the *old* snapshot.
+        The shard count is kept; prefer :meth:`add_shard` for
+        append-only evolution.  Returns ``self`` for chaining.
+        """
+        self._sources = [
+            RowSource(shard)
+            for shard in _partition(dataset, len(self._sources))
+        ]
+        self._schema = dataset.schema
+        self._drop_merged_caches()
+        return self
+
+    def invalidate_caches(self) -> None:
+        """Drop every derived cache: merged answers and per-source tables.
+
+        Datasets are immutable, so a counter over unchanged rows never
+        needs this for correctness (:meth:`rebind` and :meth:`add_shard`
+        drop what a row change stales); it returns the memory and forces
+        a cold recount.
+        """
+        self._drop_merged_caches()
+        for source in self._sources:
+            source.clear()
+
+    def _drop_merged_caches(self) -> None:
+        self._value_counts: dict[str, dict[Hashable, int]] = {}
+        self._fractions: dict[str, np.ndarray] = {}
+        self._label_sizes: dict[tuple[str, ...], int] = {}
+        self._full_rows: tuple[np.ndarray, np.ndarray] | None = None
+        self._joint_tables: dict[
+            tuple[str, ...], tuple[np.ndarray, np.ndarray]
+        ] = {}
+        # attribute set -> merged KeyTable, or None when the radix over
+        # the set overflows 64 bits (the mask path answers those).
+        self._key_tables: dict[tuple[str, ...], KeyTable | None] = {}
+        # attribute set -> equality batches seen (a single source answers
+        # its first batch without building the key table).
+        self._key_queries: dict[tuple[str, ...], int] = {}
+        # The pool's source references are frozen at pool build, so a
+        # shard change retires it; the next parallel query re-creates it
+        # over the new shard set.
+        self._shutdown_pool()
+
+    # -- worker pool ---------------------------------------------------------------
+
+    def _shutdown_pool(self) -> None:
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.close()
+
+    def _parallel_active(self) -> bool:
+        """Parallel dispatch applies only with 2+ sources — a K = 1
+        counter has nothing to fan out, so it never pays pool spawn cost."""
+        return self._parallel and len(self._sources) > 1
+
+    def _get_pool(self):
+        """The persistent worker pool, created lazily on first use.
+
+        One pool per counter: workers are expensive to spawn, and once
+        up they hold warm per-source tables (pack mmaps or attached
+        shared-memory views), so reuse across query batches is where the
+        parallel path wins.
+        """
+        if self._pool is None:
+            from repro.core.parallel import ShardWorkerPool
+
+            self._pool = ShardWorkerPool(
+                self._sources, self._schema, max_workers=self._max_workers
+            )
+        return self._pool
+
+    def _run_parallel(self, tasks: Sequence[tuple[int, str, object]]):
+        """Dispatch tasks to the pool; retire it if the batch fails.
+
+        The ``finally`` guarantees a mid-flight failure (worker crash
+        past its retry, cancelled build, pickling error) never leaks the
+        executor or the shared-memory exports — the next parallel query
+        starts from a fresh pool.
+        """
+        failed = True
+        try:
+            results = self._get_pool().run_shard_tasks(tasks)
+            failed = False
+            return results
+        finally:
+            if failed:
+                self._shutdown_pool()
+
+    def _per_source(self, method: str, calls: Sequence[tuple]) -> list[list]:
+        """``source.method(*args)`` for every source and every ``args`` in
+        ``calls``: one result list per source, aligned with ``calls``.
+
+        With the pool active the calls are split into M chunks so that
+        K sources x M chunks tasks keep every worker busy even when
+        sources are skewed; otherwise they run in process.
+        """
+        if not calls or not self._parallel_active():
+            return [
+                [getattr(source, method)(*args) for args in calls]
+                for source in self._sources
+            ]
+        from repro.core.parallel import chunk_bounds
+
+        pool = self._get_pool()
+        chunks = chunk_bounds(len(calls), pool.chunk_count(len(calls)))
+        results = iter(
+            self._run_parallel(
+                [
+                    (index, method, calls[start:stop])
+                    for index in range(len(self._sources))
+                    for start, stop in chunks
+                ]
+            )
+        )
+        return [
+            [item for _ in chunks for item in next(results)]
+            for _ in self._sources
+        ]
+
+    def close(self) -> None:
+        """Shut the worker pool down and release its shared memory.
+
+        Idempotent, and safe on a counter that never went parallel; the
+        counter itself stays fully usable (a later parallel query simply
+        builds a fresh pool).
+        """
+        self._shutdown_pool()
+
+    def __enter__(self) -> "PatternCounter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
+        try:
+            self._shutdown_pool()
+        except Exception:
+            pass
+
+    # -- dataset facade -----------------------------------------------------------
+
+    @property
+    def schema(self) -> Schema:
+        """The shared schema of the sources."""
+        return self._schema
+
+    @property
+    def dataset(self):
+        """The profiled dataset: the source's own
+        :class:`~repro.dataset.table.Dataset` when K = 1, else a live,
+        read-only :class:`~repro.core.sharding.ShardedDatasetView`."""
+        if len(self._sources) == 1:
+            return self._sources[0].dataset
+        if self._view is None:
+            from repro.core.sharding import ShardedDatasetView
+
+            self._view = ShardedDatasetView(self)
+        return self._view
+
+    @property
+    def total_rows(self) -> int:
+        """``|D|`` summed over sources (pack shards stay unmapped)."""
+        return sum(source.rows for source in self._sources)
+
+    def __repr__(self) -> str:
+        return (
+            f"PatternCounter({self.total_rows} rows, "
+            f"{len(self._sources)} shards, parallel={self._parallel})"
+        )
+
+    # -- counting -----------------------------------------------------------------
+
+    def count(self, pattern: Pattern) -> int:
+        """Exact count ``c_D(p)`` by vectorized mask intersection.
+
+        The scalar reference path of the batch kernels, for equality and
+        range bindings alike (see :meth:`RowSource.count`), summed over
+        the sources.
+        """
+        return sum(source.count(pattern) for source in self._sources)
+
+    def _cards(self, attributes: tuple[str, ...]) -> list[int]:
+        return [self._schema[a].cardinality for a in attributes]
+
+    def _key_table(self, attrs: tuple[str, ...]) -> KeyTable | None:
+        """Merged :class:`KeyTable` over ``attrs``, built once and cached.
+
+        The per-source tables (each cached by its source) are built in
+        process or fanned out to the worker pool, then sum-merged.
+        ``None`` when the radix encoding over ``attrs`` overflows 64
+        bits — callers fall back to the mask path.
+        """
+        if attrs not in self._key_tables:
+            table = None
+            if radix_fits(self._schema, attrs):
+                per_source = self._per_source("key_table", [(attrs,)])
+                table = KeyTable.merge([tables[0] for tables in per_source])
+            self._key_tables[attrs] = table
+        return self._key_tables[attrs]
+
+    def encoded_rows(self, attributes: Sequence[str]) -> np.ndarray | None:
+        """Integer row ids of the fully-present rows over ``attributes``.
+
+        Each row of the projection onto ``attributes`` with no missing
+        value collapses into one ``int64`` radix key (see
+        :meth:`RowSource.row_keys`), concatenated in source order.
+        Returns ``None`` when the radix product overflows 64 bits
+        (callers fall back to the scalar path).  Not cached.
         """
         attrs = tuple(attributes)
-        if self.encoded_rows(attrs) is None:
+        if not radix_fits(self._schema, attrs):
             return None
-        return self._key_table(attrs)
+        keys = [source.row_keys(attrs) for source in self._sources]
+        return keys[0] if len(keys) == 1 else np.concatenate(keys)
 
-    def _key_cumsum(self, attributes: tuple[str, ...]) -> np.ndarray:
-        """Exclusive prefix sums over the cached key table's counts."""
-        cum = self._key_cumsums.get(attributes)
-        if cum is None:
-            _keys, counts = self._key_table(attributes)
-            cum = np.concatenate(
-                (
-                    np.zeros(1, dtype=np.int64),
-                    np.cumsum(counts, dtype=np.int64),
-                )
+    def counts_for_codes(
+        self, attributes: Sequence[str], combos: np.ndarray
+    ) -> np.ndarray:
+        """Exact counts ``c_D(p)`` for a homogeneous code batch.
+
+        Every pattern binds exactly ``attributes``; row ``i`` of
+        ``combos`` holds pattern ``i``'s codes.  A batch costs one binary
+        search per *query* against the attribute set's merged
+        :class:`KeyTable`, built on first use.  A single source answers
+        its first batch over an attribute set without that group-by: the
+        distinct query keys are sorted and every encoded row is resolved
+        against them with ``searchsorted`` + ``np.bincount`` — one data
+        pass instead of an ``O(n log n)`` sort — and repeat batches
+        promote the set to a key table.  Combinations absent from the
+        data count 0.  Falls back to the scalar mask path only when the
+        attribute set's radix product overflows 64 bits.
+        """
+        attrs = tuple(attributes)
+        combos = np.asarray(combos)
+        if combos.ndim != 2 or combos.shape[1] != len(attrs):
+            raise ValueError(
+                f"combos must be (n, {len(attrs)}) for attributes {attrs}"
             )
-            self._key_cumsums[attributes] = cum
-        return cum
-
-    def _count_runs_mask(
-        self,
-        attributes: tuple[str, ...],
-        runs: Sequence[Sequence[tuple[int, int]]],
-    ) -> int:
-        """Mask-intersection count of one code-run row (fallback path)."""
-        mask: np.ndarray | None = None
-        for attribute, attr_runs in zip(attributes, runs):
-            codes = self._dataset.codes(attribute)
-            column_mask = np.zeros(codes.shape, dtype=bool)
-            for lo, hi in attr_runs:
-                column_mask |= (codes >= lo) & (codes < hi)
-            mask = column_mask if mask is None else (mask & column_mask)
-            if not mask.any():
-                return 0
-        assert mask is not None
-        return int(mask.sum())
+        if combos.shape[0] == 0:
+            return np.empty(0, dtype=np.int64)
+        queries = self._key_queries.get(attrs, 0) + 1
+        self._key_queries[attrs] = queries
+        if (
+            len(self._sources) == 1
+            and queries == 1
+            and attrs not in self._key_tables
+            and radix_fits(self._schema, attrs)
+        ):
+            # One-shot batch: group the data by *query* key instead of
+            # sorting the data — O(n log m) for m distinct queries.
+            query_keys = combine_codes(combos, self._cards(attrs))
+            row_keys = self._sources[0].row_keys(attrs)
+            unique_q, inverse = np.unique(query_keys, return_inverse=True)
+            idx = np.minimum(
+                np.searchsorted(unique_q, row_keys), unique_q.size - 1
+            )
+            matched = unique_q[idx] == row_keys
+            per_query = np.bincount(idx[matched], minlength=unique_q.size)
+            return per_query.astype(np.int64)[inverse]
+        table = self._key_table(attrs)
+        if table is None:  # the radix over attrs overflows 64 bits
+            return np.array(
+                [
+                    self.count(self.pattern_from_codes(attrs, row))
+                    for row in combos
+                ],
+                dtype=np.int64,
+            )
+        return table.lookup(combine_codes(combos, self._cards(attrs)))
 
     def counts_for_runs(
         self,
@@ -672,99 +1032,41 @@ class PatternCounter:
         ``j``'s half-open ``(lo, hi)`` code runs on ``attributes[i]``
         (an equality is the single run ``(code, code + 1)`` — see
         :func:`repro.core.pattern.encode_range_groups`).  Each pattern
-        expands into Horner key segments against the same cached sorted
-        key table that serves the equality kernel, plus its cached
-        cumulative counts: one segment costs two ``searchsorted`` probes
-        — a contiguous range is as cheap as an equality.  Patterns whose
-        non-terminal range attributes would expand past the fanout cap,
-        and attribute sets whose radix product overflows 64 bits, fall
-        back to the mask path.
+        expands into Horner key segments against the same merged
+        :class:`KeyTable` that serves the equality kernel: one segment
+        costs two ``searchsorted`` probes — a contiguous range is as
+        cheap as an equality.  Patterns whose non-terminal range
+        attributes would expand past the fanout cap, and attribute sets
+        whose radix product overflows 64 bits, fall back to the mask
+        path, summed over sources — fanned out over the worker pool when
+        one is active, with the code runs themselves (plain Python ints)
+        as the task payload.
         """
         attrs = tuple(attributes)
         runs_rows = list(runs_rows)
-        out = np.zeros(len(runs_rows), dtype=np.int64)
         if not runs_rows:
-            return out
-        row_keys = self.encoded_rows(attrs)
-        if row_keys is None:
-            for j, runs in enumerate(runs_rows):
-                out[j] = self._count_runs_mask(attrs, runs)
-            return out
-        cards = [self._dataset.schema[a].cardinality for a in attrs]
+            return np.zeros(0, dtype=np.int64)
+        table = self._key_table(attrs)
+        if table is None:
+            return self._count_runs_by_mask(attrs, runs_rows)
         seg_lo, seg_hi, owner, overflowed = expand_run_segments(
-            runs_rows, cards
+            runs_rows, self._cards(attrs)
         )
-        if seg_lo.size:
-            keys, _counts = self._key_table(attrs)
-            if keys.size:
-                cum = self._key_cumsum(attrs)
-                hits = (
-                    cum[np.searchsorted(keys, seg_hi, side="left")]
-                    - cum[np.searchsorted(keys, seg_lo, side="left")]
-                )
-                np.add.at(out, owner, hits)
-        for j in overflowed:
-            out[j] = self._count_runs_mask(attrs, runs_rows[j])
+        out = np.zeros(len(runs_rows), dtype=np.int64)
+        np.add.at(out, owner, table.range_sum(seg_lo, seg_hi))
+        if overflowed:
+            out[overflowed] = self._count_runs_by_mask(
+                attrs, [runs_rows[j] for j in overflowed]
+            )
         return out
 
-    def counts_for_codes(
-        self, attributes: Sequence[str], combos: np.ndarray
+    def _count_runs_by_mask(
+        self, attrs: tuple[str, ...], runs_rows: list
     ) -> np.ndarray:
-        """Exact counts ``c_D(p)`` for a homogeneous code batch.
-
-        Every pattern binds exactly ``attributes``; row ``i`` of
-        ``combos`` holds pattern ``i``'s codes.  First batch over an
-        attribute set: one pass over the encoded row ids — the distinct
-        query keys are sorted and every row id is resolved against them
-        with ``searchsorted`` + ``np.bincount`` (no ``O(n log n)``
-        group-by of the data).  Repeat batches promote the attribute set
-        to a cached sorted key table, after which a batch costs one
-        binary search per *query* instead of a data pass.  Combinations
-        absent from the data count 0.  Falls back to the scalar mask path
-        only when the attribute set's radix product overflows 64 bits.
-        """
-        attrs = tuple(attributes)
-        combos = np.asarray(combos)
-        if combos.ndim != 2 or combos.shape[1] != len(attrs):
-            raise ValueError(
-                f"combos must be (n, {len(attrs)}) for attributes {attrs}"
-            )
-        if combos.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        row_keys = self.encoded_rows(attrs)
-        if row_keys is None:
-            return np.array(
-                [
-                    self.count(self.pattern_from_codes(attrs, row))
-                    for row in combos
-                ],
-                dtype=np.int64,
-            )
-        cards = [self._dataset.schema[a].cardinality for a in attrs]
-        query_keys = combine_codes(combos, cards)
-
-        self._key_queries[attrs] = self._key_queries.get(attrs, 0) + 1
-        if attrs in self._key_tables or self._key_queries[attrs] > 1:
-            keys, counts = self._key_table(attrs)
-            if keys.size == 0:
-                return np.zeros(combos.shape[0], dtype=np.int64)
-            idx = np.searchsorted(keys, query_keys)
-            idx_clamped = np.minimum(idx, keys.size - 1)
-            found = keys[idx_clamped] == query_keys
-            return np.where(found, counts[idx_clamped], 0).astype(np.int64)
-
-        # One-shot batch: group the data by *query* key instead of
-        # sorting the data — O(n log m) for m distinct queries.
-        unique_q, inverse = np.unique(query_keys, return_inverse=True)
-        if row_keys.size == 0:
-            return np.zeros(combos.shape[0], dtype=np.int64)
-        idx = np.searchsorted(unique_q, row_keys)
-        idx_clamped = np.minimum(idx, unique_q.size - 1)
-        matched = unique_q[idx_clamped] == row_keys
-        per_query = np.bincount(
-            idx_clamped[matched], minlength=unique_q.size
-        ).astype(np.int64)
-        return per_query[inverse]
+        per_source = self._per_source(
+            "count_runs", [(attrs, runs) for runs in runs_rows]
+        )
+        return np.asarray(per_source, dtype=np.int64).sum(axis=0)
 
     def count_many(self, patterns: Iterable[Pattern]) -> np.ndarray:
         """Exact counts ``c_D(p)`` for an arbitrary pattern batch.
@@ -783,7 +1085,7 @@ class PatternCounter:
         out = np.zeros(len(patterns), dtype=np.int64)
         if not patterns:
             return out
-        schema = self._dataset.schema
+        schema = self._schema
         equality, ranged = split_by_ranges(patterns)
         if not ranged:
             for attrs, combos, indices in encode_groups(patterns, schema):
@@ -807,23 +1109,28 @@ class PatternCounter:
 
     def _require_attribute(self, attribute: str) -> None:
         """Raise a self-explanatory ``KeyError`` for unknown attributes."""
-        if attribute not in self._dataset.schema:
-            known = ", ".join(
-                repr(name) for name in self._dataset.schema.names
-            )
+        if attribute not in self._schema:
+            known = ", ".join(repr(name) for name in self._schema.names)
             raise KeyError(
                 f"no attribute named {attribute!r}; known attributes: "
                 f"{known}"
             )
 
     def value_counts(self, attribute: str) -> dict[Hashable, int]:
-        """Counts of every domain value of ``attribute`` (cached)."""
-        if attribute not in self._value_counts:
+        """Counts of every domain value of ``attribute`` (cached; domains
+        are shared, so per-source counts align and sum)."""
+        counts = self._value_counts.get(attribute)
+        if counts is None:
             self._require_attribute(attribute)
-            self._value_counts[attribute] = self._dataset.value_counts(
-                attribute
-            )
-        return self._value_counts[attribute]
+            parts = [s.value_counts(attribute) for s in self._sources]
+            counts = parts[0]
+            if len(parts) > 1:
+                counts = {
+                    value: sum(part[value] for part in parts)
+                    for value in counts
+                }
+            self._value_counts[attribute] = counts
+        return counts
 
     def value_count(self, attribute: str, value: Hashable) -> int:
         """Count ``c_D({A = a})`` of one attribute value."""
@@ -845,27 +1152,29 @@ class PatternCounter:
         number of non-missing entries of the attribute, which equals
         ``|D|`` for datasets without missing values.
         """
-        if attribute not in self._fractions:
+        fractions = self._fractions.get(attribute)
+        if fractions is None:
             self._require_attribute(attribute)
-            column = self._dataset.schema[attribute]
+            value_counts = self.value_counts(attribute)
             counts = np.array(
                 [
-                    self.value_counts(attribute)[category]
-                    for category in column.categories
+                    value_counts[category]
+                    for category in self._schema[attribute].categories
                 ],
                 dtype=np.float64,
             )
             denominator = counts.sum()
-            if denominator == 0:
-                fractions = np.zeros_like(counts)
-            else:
-                fractions = counts / denominator
+            fractions = (
+                np.zeros_like(counts)
+                if denominator == 0
+                else counts / denominator
+            )
             self._fractions[attribute] = fractions
-        return self._fractions[attribute]
+        return fractions
 
     def fraction(self, attribute: str, value: Hashable) -> float:
         """Single independence factor for ``attribute = value``."""
-        code = self._dataset.schema[attribute].code_of(value)
+        code = self._schema[attribute].code_of(value)
         return float(self.fractions(attribute)[code])
 
     def predicate_fraction(self, attribute: str, predicate) -> float:
@@ -877,7 +1186,7 @@ class PatternCounter:
         runs.
         """
         fractions = self.fractions(attribute)
-        runs = self._dataset.schema[attribute].code_runs(predicate)
+        runs = self._schema[attribute].code_runs(predicate)
         return float(sum(fractions[lo:hi].sum() for lo, hi in runs))
 
     # -- attribute-set statistics -------------------------------------------------
@@ -888,15 +1197,16 @@ class PatternCounter:
         """Joint count table (``PC`` content) over ``attributes``.
 
         Returns the ``(combos, counts)`` pair produced by
-        :meth:`repro.dataset.table.Dataset.joint_counts`.  Cached per
-        attribute tuple — the search error-evaluates many candidates
-        against the same pattern set, and every candidate's base term is
-        a lookup in one of these tables.
+        :meth:`repro.dataset.table.Dataset.joint_counts` over all rows.
+        Cached per attribute tuple — the search error-evaluates many
+        candidates against the same pattern set, and every candidate's
+        base term is a lookup in one of these tables.
         """
         key = tuple(attributes)
-        if key not in self._joint_tables:
-            self._joint_tables[key] = self._dataset.joint_counts(list(key))
-        return self._joint_tables[key]
+        table = self._joint_tables.get(key)
+        if table is None:
+            table = self.joint_tables([key])[key]
+        return table
 
     def joint_tables(
         self, attribute_sets: Iterable[Sequence[str]]
@@ -904,28 +1214,111 @@ class PatternCounter:
         """Joint count tables for several attribute sets at once.
 
         Batch companion of :meth:`joint_table`: deduplicates the
-        requested sets and serves each from (and into) the shared cache,
-        so interleaved callers — candidate evaluation, label building,
-        workload scoring — never recompute a table another layer already
-        paid for.
+        requested sets, builds the uncached ones per source (optionally
+        in the worker pool) and merges them additively into the shared
+        cache, so interleaved callers — candidate evaluation, label
+        building, workload scoring — never recompute a table another
+        layer already paid for.
         """
-        out: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
-        for attributes in attribute_sets:
-            key = tuple(attributes)
-            if key not in out:
-                out[key] = self.joint_table(key)
-        return out
+        requested = list(dict.fromkeys(tuple(a) for a in attribute_sets))
+        missing = [key for key in requested if key not in self._joint_tables]
+        if missing:
+            per_source = self._per_source(
+                "joint_table", [(key,) for key in missing]
+            )
+            for key, parts in zip(missing, zip(*per_source)):
+                self._joint_tables[key] = merge_count_tables(parts, len(key))
+        return {key: self._joint_tables[key] for key in requested}
 
     def label_size(self, attributes: Sequence[str]) -> int:
         """``|P_S|``: distinct positive-count combinations over ``S``.
 
-        Cached per attribute set — the search algorithms probe the same
-        sets repeatedly while walking the lattice.
+        Exact over several sources because "distinct" is union-stable:
+        the merged distinct projections over ``S`` are exactly the
+        distinct projections of the concatenated data (including the
+        partial-support accounting of missing-value relations — see
+        :meth:`~repro.dataset.table.Dataset.n_distinct`).  Cached per
+        attribute set — the search algorithms probe the same sets
+        repeatedly while walking the lattice.
         """
         key = tuple(attributes)
-        if key not in self._label_sizes:
-            self._label_sizes[key] = self._dataset.n_distinct(list(key))
-        return self._label_sizes[key]
+        size = self._label_sizes.get(key)
+        if size is None:
+            if len(self._sources) == 1:
+                size = self._sources[0].dataset.n_distinct(list(key))
+            elif key:
+                size = len(self.dataset.pattern_projections(key)[0])
+            else:
+                size = 0
+            self._label_sizes[key] = size
+        return size
+
+    def label_size_many(
+        self, attribute_sets: Iterable[Sequence[str]]
+    ) -> np.ndarray:
+        """``|P_S|`` for a whole batch of attribute sets in one call.
+
+        The batched sizing kernel of the search driver: equivalent to
+        ``[self.label_size(S) for S in attribute_sets]`` — the scalar
+        path stays as the parity reference — but each subset's keys are
+        accumulated over the sources' cached ``int64`` columns (no
+        per-subset ``codes_matrix`` stack or mask pass) and distinct
+        combinations are counted with one dense ``bincount`` whenever the
+        subset's radix key space stays within a small multiple of the
+        row count (``O(n + radix)`` instead of a sort).  Over several
+        sources, each subset's size is that of the union of the
+        per-source distinct key sets (optionally built in the worker
+        pool).  Results land in (and are served from) the same per-set
+        cache as :meth:`label_size`; missing-value relations and 64-bit
+        radix overflows fall back to the scalar path per subset.
+        """
+        requested = [tuple(attrs) for attrs in attribute_sets]
+        missing = [
+            attrs
+            for attrs in dict.fromkeys(requested)
+            if attrs not in self._label_sizes
+        ]
+        if len(self._sources) == 1:
+            source = self._sources[0]
+            for attrs in missing:
+                self._label_sizes[attrs] = source.distinct_count(attrs)
+        else:
+            for attrs, keys in zip(missing, self._distinct_key_sets(missing)):
+                if keys is None:
+                    self.label_size(attrs)  # caches the scalar answer
+                else:
+                    self._label_sizes[attrs] = int(keys.size)
+        return np.array(
+            [self._label_sizes[attrs] for attrs in requested], dtype=np.int64
+        )
+
+    def distinct_keys(self, attributes: Sequence[str]) -> np.ndarray | None:
+        """Sorted distinct radix keys over ``attributes``, or ``None``.
+
+        The union of the per-source key sets (see
+        :meth:`RowSource.distinct_keys`): its size is ``|P_S|``.
+        ``None`` when missing values or a 64-bit radix overflow rule
+        the encoding out.
+        """
+        return self._distinct_key_sets([tuple(attributes)])[0]
+
+    def _distinct_key_sets(
+        self, attribute_sets: Sequence[tuple[str, ...]]
+    ) -> list[np.ndarray | None]:
+        """:meth:`distinct_keys` for several sets; the per-source key sets
+        are built in the worker pool when one is active."""
+        per_source = self._per_source(
+            "distinct_keys", [(attrs,) for attrs in attribute_sets]
+        )
+        out: list[np.ndarray | None] = []
+        for parts in zip(*per_source):
+            if any(part is None for part in parts):
+                out.append(None)
+            elif len(parts) == 1:
+                out.append(parts[0])
+            else:
+                out.append(np.unique(np.concatenate(parts)))
+        return out
 
     def distinct_full_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct fully-present rows and their counts.
@@ -935,8 +1328,9 @@ class PatternCounter:
         Cached — the search evaluates every candidate against it.
         """
         if self._full_rows is None:
-            self._full_rows = self._dataset.joint_counts(
-                list(self._dataset.attribute_names)
+            self._full_rows = merge_count_tables(
+                [source.full_rows() for source in self._sources],
+                len(self._schema),
             )
         return self._full_rows
 
@@ -946,20 +1340,18 @@ class PatternCounter:
         self, attributes: Sequence[str], codes: Sequence[int]
     ) -> Pattern:
         """Decode a code vector over ``attributes`` into a :class:`Pattern`."""
-        schema = self._dataset.schema
         assignments: dict[str, Hashable] = {}
         for attribute, code in zip(attributes, codes):
             if code == MISSING_CODE:
                 raise ValueError("cannot build a pattern from a missing value")
-            assignments[attribute] = schema[attribute].category_of(int(code))
+            assignments[attribute] = self._schema[attribute].category_of(
+                int(code)
+            )
         return Pattern(assignments)
 
-    def codes_from_pattern(
-        self, pattern: Pattern
-    ) -> Mapping[str, int]:
+    def codes_from_pattern(self, pattern: Pattern) -> Mapping[str, int]:
         """Encode a pattern as attribute → code."""
-        schema = self._dataset.schema
         return {
-            attribute: schema[attribute].code_of(value)
+            attribute: self._schema[attribute].code_of(value)
             for attribute, value in pattern.items_sorted
         }

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.counts import PatternCounter, as_counter
+from repro.core.counts import PatternCounter
 from repro.core.estimator import LabelEstimator
 from repro.core.label import Label, build_label
 from repro.core.pattern import (
@@ -40,6 +40,7 @@ from repro.core.pattern import (
     split_by_ranges,
 )
 from repro.core.patternsets import PatternSet, full_pattern_set
+from repro.core.sharding import make_counter
 
 __all__ = [
     "absolute_error",
@@ -302,8 +303,7 @@ def evaluate_label(
     ----------
     counter:
         Count oracle over the labeled dataset — a
-        :class:`PatternCounter`, any counter-like backend (e.g. a
-        :class:`~repro.core.sharding.ShardedPatternCounter`), or a bare
+        :class:`PatternCounter` (any shard count), or a bare
         :class:`~repro.dataset.table.Dataset` (wrapped on the fly).
     label:
         Either a built :class:`Label` or just the attribute subset ``S``
@@ -312,7 +312,7 @@ def evaluate_label(
     pattern_set:
         Defaults to ``P_A`` (:func:`~repro.core.patternsets.full_pattern_set`).
     """
-    counter = as_counter(counter)
+    counter = make_counter(counter)
     attributes: Sequence[str]
     if isinstance(label, Label):
         attributes = label.attributes
@@ -377,9 +377,8 @@ class BatchLabelEvaluator:
         counter: PatternCounter,
         pattern_set: PatternSet | None = None,
     ) -> None:
-        # Counter-factory hook: accepts a bare dataset or any
-        # counter-like backend (sharded counters included).
-        self._counter = counter = as_counter(counter)
+        # Accepts a bare dataset or a counter of any shard count.
+        self._counter = counter = make_counter(counter)
         if pattern_set is None:
             pattern_set = full_pattern_set(counter)
         self._pattern_set = pattern_set

@@ -17,11 +17,10 @@ it is what a *consumer* of published metadata would run.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.counts import as_counter
 from repro.core.label import Label, build_label
 from repro.core.pattern import Pattern, Predicate, group_by_attributes
 
@@ -44,21 +43,14 @@ class LabelEstimator:
 
     @classmethod
     def from_data(
-        cls,
-        source,
-        attributes: Sequence[str],
-        *,
-        counter_factory: Callable | None = None,
+        cls, source, attributes: Sequence[str]
     ) -> "LabelEstimator":
         """Producer-side shortcut: build ``L_S(D)`` and wrap it.
 
-        ``source`` is a dataset or any counter-like backend;
-        ``counter_factory`` substitutes the counting backend built for a
-        bare dataset (e.g. ``lambda d: make_counter(d, shards=8)`` from
-        :mod:`repro.core.sharding` for out-of-core data).
+        ``source`` is a dataset or a counter — pass
+        ``make_counter(dataset, shards=8)`` for out-of-core data.
         """
-        counter = as_counter(source, counter_factory)
-        return cls(build_label(counter, attributes))
+        return cls(build_label(source, attributes))
 
     @property
     def label(self) -> Label:

@@ -23,8 +23,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator, Mapping, Sequence
 
-from repro.core.counts import PatternCounter, as_counter
+from repro.core.counts import PatternCounter
 from repro.core.pattern import Pattern, Predicate
+from repro.core.sharding import make_counter
 from repro.dataset.table import Dataset
 
 __all__ = ["Label", "build_label", "label_size"]
@@ -372,15 +373,13 @@ def build_label(
     Parameters
     ----------
     source:
-        The dataset, or any counter-like backend over it (a
-        :class:`PatternCounter`, whose caches are reused, or e.g. a
-        :class:`~repro.core.sharding.ShardedPatternCounter` for
-        partitioned data).
+        The dataset, or a :class:`PatternCounter` over it (of any shard
+        count), whose caches are reused.
     attributes:
         The subset ``S``; order is normalized to schema order.  May be
         empty for the degenerate value-counts-only label.
     """
-    counter = as_counter(source)
+    counter = make_counter(source)
     dataset = counter.dataset
     schema = dataset.schema
     requested = list(attributes)
@@ -432,7 +431,7 @@ def label_size(
     source: Dataset | PatternCounter, attributes: Sequence[str]
 ) -> int:
     """``|P_S|`` without materializing the label (used by the search)."""
-    counter = as_counter(source)
+    counter = make_counter(source)
     if not attributes:
         return 0
     return counter.label_size(tuple(attributes))

@@ -29,7 +29,6 @@ from repro.core.errors import ErrorSummary, evaluate_label
 from repro.core.label import Label
 from repro.core.patternsets import full_pattern_set
 from repro.core.search import top_down_search
-from repro.core.sharding import ShardedPatternCounter
 from repro.dataset.table import Dataset
 
 __all__ = ["apply_inserts", "apply_deletes", "LabelMaintainer"]
@@ -194,12 +193,11 @@ class LabelMaintainer:
         Error re-evaluation cadence, counted in update batches (error
         evaluation touches the data; updates themselves do not).
     shards:
-        With ``shards > 1`` the maintainer counts through a
-        :class:`~repro.core.sharding.ShardedPatternCounter`: every
-        insert batch becomes a *new shard*, so the existing shards'
-        caches (key tables, joint tables, fractions) survive the update
-        — the incremental path — instead of the full
-        rebind-and-recount a monolithic counter needs.
+        With ``shards > 1`` the maintainer's counter is partitioned and
+        every insert batch becomes a *new shard*, so the existing
+        shards' tables (key tables, joint tables, value counts) survive
+        the update — the incremental path — instead of the full
+        rebind-and-recount a single-shard counter needs.
     parallel:
         Build per-shard joint tables in a process pool (only meaningful
         with ``shards > 1``).
@@ -229,21 +227,16 @@ class LabelMaintainer:
         # (fractions, label sizes, joint/key tables) describe a snapshot,
         # so every dataset change MUST go through _absorb_batch — reusing
         # the counter across snapshots without it serves stale counts
-        # (the bug the rebind hook exists to prevent).  The sharded
-        # backend absorbs a batch as a fresh shard; the monolithic one
+        # (the bug the rebind hook exists to prevent).  A multi-shard
+        # counter absorbs a batch as a fresh shard; a single-shard one
         # rebinds to the concatenation and recounts.
-        if shards > 1:
-            self._counter: PatternCounter | ShardedPatternCounter = (
-                ShardedPatternCounter.from_dataset(
-                    dataset, shards, parallel=parallel
-                )
-            )
-        else:
-            self._counter = PatternCounter(dataset)
+        self._counter = PatternCounter.from_dataset(
+            dataset, shards, parallel=parallel
+        )
         self._rebuild()
 
     def _absorb_batch(self, batch: Dataset) -> None:
-        if isinstance(self._counter, ShardedPatternCounter):
+        if self._counter.n_shards > 1:
             self._counter.add_shard(batch)
         else:
             self._counter.rebind(self._counter.dataset.concat(batch))

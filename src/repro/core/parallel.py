@@ -17,13 +17,13 @@ with workers that never receive data, only *references*:
   shared by all workers for the lifetime of the pool.
 
 The pool itself (:class:`ShardWorkerPool`) is persistent: spawned
-lazily on the first parallel query of a
-:class:`~repro.core.sharding.ShardedPatternCounter`, reused across
+lazily on the first parallel query of a multi-shard
+:class:`~repro.core.counts.PatternCounter`, reused across
 ``count_many``/``joint_tables``/``label_size_many``/fit, and shut down
 via ``close()`` (or the owning counter's context manager).  Workers
-keep per-process counter caches, so repeat queries against the same
-attribute sets are served from warm per-shard key tables exactly as in
-the serial path.  A crashed worker (``BrokenProcessPool``) retires the
+keep per-process row sources, so repeat queries against the same
+attribute sets are served from warm per-shard tables exactly as in the
+serial path.  A crashed worker (``BrokenProcessPool``) retires the
 executor with ``shutdown(wait=False, cancel_futures=True)`` and the
 task batch is retried once on a fresh pool before the error propagates.
 
@@ -43,7 +43,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.counts import PatternCounter
+from repro.core.counts import RowSource
 from repro.dataset.schema import Schema
 from repro.dataset.table import Dataset
 
@@ -89,7 +89,7 @@ def chunk_bounds(n_items: int, n_chunks: int) -> list[tuple[int, int]]:
 # -- worker side --------------------------------------------------------------
 #
 # One module-level state object per worker process, installed by the
-# pool initializer.  Shard counters are resolved lazily: a worker only
+# pool initializer.  Row sources are resolved lazily: a worker only
 # opens (and the OS only pages in) the shards its tasks actually touch.
 
 _WORKER_STATE: "_WorkerState | None" = None
@@ -101,7 +101,7 @@ class _WorkerState:
     ) -> None:
         self.schema = schema
         self.refs = tuple(refs)
-        self.counters: dict[int, PatternCounter] = {}
+        self.sources: dict[int, RowSource] = {}
         self.readers: dict[str, Any] = {}
         self.blocks: list[Any] = []  # keep attached shm blocks alive
 
@@ -137,12 +137,12 @@ def _attach_shared_block(ref: ShmShardRef):
         resource_tracker.register = original_register
 
 
-def _resolve_counter(shard_index: int) -> PatternCounter:
+def _resolve_source(shard_index: int) -> RowSource:
     state = _WORKER_STATE
     assert state is not None, "worker used before initialization"
-    counter = state.counters.get(shard_index)
-    if counter is not None:
-        return counter
+    source = state.sources.get(shard_index)
+    if source is not None:
+        return source
     ref = state.refs[shard_index]
     if isinstance(ref, PackShardRef):
         reader = state.readers.get(ref.path)
@@ -153,49 +153,44 @@ def _resolve_counter(shard_index: int) -> PatternCounter:
             # built the pool; workers trust that verification.
             reader = open_pack(ref.path, verify="skip")
             state.readers[ref.path] = reader
-        counter = reader.shard_counter(ref.index)
+        source = reader.shard_source(ref.index)
     elif isinstance(ref, ShmShardRef):
         block = _attach_shared_block(ref)
         state.blocks.append(block)
         codes = np.ndarray(
             (ref.rows, ref.columns), dtype=np.dtype(ref.dtype), buffer=block.buf
         )
-        counter = PatternCounter(Dataset(state.schema, codes, copy=False))
+        source = RowSource(Dataset(state.schema, codes, copy=False))
     else:  # pragma: no cover - refs are built by the pool
         raise TypeError(f"unknown shard reference {type(ref).__name__}")
-    state.counters[shard_index] = counter
-    return counter
+    state.sources[shard_index] = source
+    return source
+
+
+#: The :class:`~repro.core.counts.RowSource` methods a task may run.
+#: ``count_runs`` is the mask fallback of range counting: its code runs
+#: are plain ints, so the payload pickles without touching shard data.
+_SHARD_TASKS = frozenset(
+    {"joint_table", "key_table", "distinct_keys", "count_runs"}
+)
 
 
 def _run_shard_task(shard_index: int, method: str, payload: Any) -> Any:
-    """Execute one chunked task against one lazily-resolved shard."""
-    counter = _resolve_counter(shard_index)
-    if method == "joint_tables":
-        return [counter.joint_table(attrs) for attrs in payload]
-    if method == "distinct_keys":
-        return [counter.distinct_keys(attrs) for attrs in payload]
-    if method == "key_tables":
-        return [counter.key_table(attrs) for attrs in payload]
-    if method == "counts_for_codes":
-        attrs, combos = payload
-        return counter.counts_for_codes(attrs, combos)
-    if method == "counts_for_runs":
-        # Range predicates cross the process boundary as half-open code
-        # runs — plain ints, so the payload pickles without touching any
-        # shard data.
-        attrs, runs_rows = payload
-        return counter.counts_for_runs(attrs, runs_rows)
-    raise ValueError(f"unknown shard task {method!r}")
+    """Run ``source.method(*args)`` for each ``args`` in one chunk."""
+    if method not in _SHARD_TASKS:
+        raise ValueError(f"unknown shard task {method!r}")
+    call = getattr(_resolve_source(shard_index), method)
+    return [call(*args) for args in payload]
 
 
 # -- parent side --------------------------------------------------------------
 
 
-def _export_shared(counter: PatternCounter):
+def _export_shared(source: RowSource):
     """Copy one in-memory shard's code matrix into a shared block."""
     from multiprocessing import shared_memory
 
-    codes = np.ascontiguousarray(counter.dataset.codes_matrix())
+    codes = np.ascontiguousarray(source.dataset.codes_matrix())
     block = shared_memory.SharedMemory(
         create=True, size=max(1, codes.nbytes)
     )
@@ -215,12 +210,11 @@ class ShardWorkerPool:
 
     Parameters
     ----------
-    counters:
-        The per-shard counters of the owning sharded counter, in shard
-        order.  Pack-backed counters contribute a :class:`PackShardRef`
-        (their shard file's checksum is verified parent-side, once,
-        right here); plain in-memory counters are exported to shared
-        memory.
+    sources:
+        The row sources of the owning counter, in shard order.
+        Pack-backed sources contribute a :class:`PackShardRef` (their
+        shard file's checksum is verified parent-side, once, right
+        here); in-memory sources are exported to shared memory.
     schema:
         The shared shard schema, sent to each worker once via the pool
         initializer (never re-pickled per task).
@@ -233,12 +227,12 @@ class ShardWorkerPool:
 
     def __init__(
         self,
-        counters: Sequence[PatternCounter],
+        sources: Sequence[RowSource],
         schema: Schema,
         *,
         max_workers: int | None = None,
     ) -> None:
-        n_shards = len(counters)
+        n_shards = len(sources)
         if n_shards < 2:
             raise ValueError(
                 "a worker pool needs at least 2 shards; route single-"
@@ -251,16 +245,16 @@ class ShardWorkerPool:
         self._blocks: list[Any] = []
         refs: list[PackShardRef | ShmShardRef] = []
         try:
-            for counter in counters:
-                pack_ref = getattr(counter, "pack_shard_ref", None)
+            for source in sources:
+                pack_ref = source.pack_shard_ref
                 if pack_ref is not None:
                     # Verify the shard file's checksum in the parent —
                     # exactly once per file — so every worker can open
                     # the pack with verify="skip".
-                    counter.ensure_verified()
+                    source.ensure_verified()
                     refs.append(pack_ref)
                 else:
-                    block, ref = _export_shared(counter)
+                    block, ref = _export_shared(source)
                     self._blocks.append(block)
                     refs.append(ref)
         except BaseException:
@@ -309,7 +303,7 @@ class ShardWorkerPool:
         pool — per-worker caches are lost, correctness is not.  Any
         other failure cancels the batch's outstanding futures and
         propagates; the owning counter retires the pool in its
-        ``finally`` (see ``ShardedPatternCounter._run_parallel``).
+        ``finally`` (see ``PatternCounter._run_parallel``).
         """
         last_error: BaseException | None = None
         for attempt in range(2):

@@ -33,10 +33,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.counts import PatternCounter, as_counter
+from repro.core.counts import PatternCounter
 from repro.core.errors import BatchLabelEvaluator, ErrorSummary, Objective
 from repro.core.label import Label, build_label
 from repro.core.patternsets import PatternSet, full_pattern_set
+from repro.core.sharding import make_counter
 from repro.dataset.table import Dataset
 
 __all__ = [
@@ -139,9 +140,8 @@ class SearchDriver:
     Parameters
     ----------
     source:
-        Dataset or counter-like backend to label (resolved through
-        :func:`~repro.core.counts.as_counter`, honoring
-        ``counter_factory`` for bare datasets).
+        Dataset or counter to label (resolved through
+        :func:`~repro.core.sharding.make_counter`).
     bound:
         The size budget ``Bs`` on ``|PC|``.
     pattern_set:
@@ -176,12 +176,11 @@ class SearchDriver:
         size_fn: Callable[[tuple[str, ...]], int] | None = None,
         time_limit_seconds: float | None = None,
         raise_on_deadline: bool = True,
-        counter_factory: Callable[[Dataset], PatternCounter] | None = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if bound < 1:
             raise ValueError("bound must be positive")
-        self.counter = as_counter(source, counter_factory)
+        self.counter = make_counter(source)
         self.bound = bound
         self.names: tuple[str, ...] = tuple(
             self.counter.dataset.attribute_names
@@ -233,9 +232,8 @@ class SearchDriver:
         """Label sizes for a whole frontier, batched.
 
         One ``label_size_many`` kernel call per :data:`SIZING_CHUNK`
-        subsets (counter backends without the kernel — minimal
-        third-party counter-likes — fall back to the scalar loop, as
-        does a custom ``size_fn``).  Updates ``subsets_examined``,
+        subsets (a custom ``size_fn`` runs one subset at a time
+        instead).  Updates ``subsets_examined``,
         accrues ``search_seconds``, and checks the deadline between
         chunks — always *after* the first chunk, so timeout stats are
         never empty.
@@ -252,14 +250,7 @@ class SearchDriver:
                         dtype=np.int64,
                     )
                 else:
-                    batched = getattr(self.counter, "label_size_many", None)
-                    if batched is None:
-                        sizes = np.array(
-                            [self.counter.label_size(s) for s in chunk],
-                            dtype=np.int64,
-                        )
-                    else:
-                        sizes = np.asarray(batched(chunk), dtype=np.int64)
+                    sizes = self.counter.label_size_many(chunk)
                 out[low : low + len(chunk)] = sizes
                 self.stats.subsets_examined += len(chunk)
                 self.check_deadline("sizing")

@@ -72,7 +72,6 @@ def naive_search(
     min_size: int = 2,
     max_size: int | None = None,
     time_limit_seconds: float | None = None,
-    counter_factory: Callable[[Dataset], PatternCounter] | None = None,
 ) -> SearchResult:
     """Level-wise exhaustive search (the paper's naive baseline).
 
@@ -83,10 +82,6 @@ def naive_search(
     error-evaluated.  The search stops at the first level where no label
     fits, which is sound because label size is monotone non-decreasing
     under attribute addition.
-
-    ``counter_factory`` substitutes the counting backend built for a
-    plain dataset (e.g. a sharded counter for out-of-core data); an
-    already-built counter-like ``source`` is used as-is.
 
     Raises
     ------
@@ -101,7 +96,6 @@ def naive_search(
         pattern_set=pattern_set,
         objective=objective,
         time_limit_seconds=time_limit_seconds,
-        counter_factory=counter_factory,
     )
     names = driver.names
     feasible: list[tuple[str, ...]] = []
@@ -127,7 +121,6 @@ def top_down_search(
     prune_parents: bool = True,
     size_fn: Callable[[tuple[str, ...]], int] | None = None,
     time_limit_seconds: float | None = None,
-    counter_factory: Callable[[Dataset], PatternCounter] | None = None,
 ) -> SearchResult:
     """Algorithm 1: top-down lattice traversal with parent pruning.
 
@@ -156,10 +149,6 @@ def top_down_search(
         to stay sound — e.g. :func:`repro.core.sizing.pc_bytes`.
     time_limit_seconds:
         Unified wall-clock budget over sizing *and* evaluation.
-    counter_factory:
-        Counting-backend hook: builds the counter when ``source`` is a
-        plain dataset (e.g.
-        ``lambda d: make_counter(d, shards=8)`` for a sharded backend).
 
     Raises
     ------
@@ -175,7 +164,6 @@ def top_down_search(
         objective=objective,
         size_fn=size_fn,
         time_limit_seconds=time_limit_seconds,
-        counter_factory=counter_factory,
     )
     names = driver.names
     frontier: list[tuple[str, ...]] = gen_children(names, ())
@@ -245,7 +233,6 @@ def beam_search(
     min_size: int = 2,
     max_size: int | None = None,
     time_limit_seconds: float | None = None,
-    counter_factory: Callable[[Dataset], PatternCounter] | None = None,
 ) -> SearchResult:
     """Width-limited frontier search, best-objective-first.
 
@@ -272,7 +259,6 @@ def beam_search(
         pattern_set=pattern_set,
         objective=objective,
         time_limit_seconds=time_limit_seconds,
-        counter_factory=counter_factory,
     )
     names = driver.names
     top_size = len(names) if max_size is None else min(max_size, len(names))
@@ -324,7 +310,6 @@ def anytime_search(
     objective: Objective = Objective.MAX_ABS,
     time_limit_seconds: float | None = None,
     max_candidates: int | None = None,
-    counter_factory: Callable[[Dataset], PatternCounter] | None = None,
 ) -> SearchResult:
     """Best-first search that always returns the best label found so far.
 
@@ -356,7 +341,6 @@ def anytime_search(
         objective=objective,
         time_limit_seconds=time_limit_seconds,
         raise_on_deadline=False,  # the budget degrades, never raises
-        counter_factory=counter_factory,
     )
     names = driver.names
 
@@ -425,7 +409,6 @@ def find_optimal_label(
     algorithm: str = "top-down",
     pattern_set: PatternSet | None = None,
     objective: Objective = Objective.MAX_ABS,
-    counter_factory: Callable[[Dataset], PatternCounter] | None = None,
     **strategy_options: Any,
 ) -> SearchResult:
     """Convenience front door: solve the optimal-label problem.
@@ -469,13 +452,8 @@ def find_optimal_label(
             "use make_strategy(...).fit or LabelingSession.fit for it"
         )
     strategy = make_strategy(algorithm, **strategy_options)
-    counter = (
-        source
-        if not isinstance(source, Dataset) or counter_factory is None
-        else counter_factory(source)
-    )
     fitted = strategy.fit(
-        counter, bound, pattern_set=pattern_set, objective=objective
+        source, bound, pattern_set=pattern_set, objective=objective
     )
     if fitted.search is None:
         # Safety net for third-party strategies that declared

@@ -1,17 +1,13 @@
-"""Sharded, mergeable counting: exact answers over partitioned data.
+"""Sharded counting: exact answers over partitioned data.
 
 Every count the labeling machinery consumes — pattern counts, joint
 count tables (the ``PC`` content), value counts (``VC``), label sizes —
-is *additive* under disjoint union of the data: ``c_{D1 ∪ D2}(p) =
-c_{D1}(p) + c_{D2}(p)``, joint tables merge by summing the counts of
-equal combinations, and ``|P_S|`` is the size of the union of per-shard
-distinct-combination sets.  :class:`ShardedPatternCounter` exploits that
-algebra: it holds one :class:`~repro.core.counts.PatternCounter` per
-shard and answers every query of the single-counter interface by
-querying the shards and merging — the merged answers are **exact**, not
-approximate, so every consumer of a counter (label construction, the
-search algorithms, error evaluation, the maintenance layer) works
-unchanged on sharded data.
+is *additive* or union-stable under disjoint union of the data, so one
+:class:`~repro.core.counts.PatternCounter` over K row sources answers
+exactly as one over their concatenation; every consumer of a counter
+(label construction, the search algorithms, error evaluation, the
+maintenance layer) works unchanged on sharded data.
+``ShardedPatternCounter`` names that same class.
 
 Why shard:
 
@@ -21,143 +17,44 @@ Why shard:
   (the compact ``int32`` code shards do stay resident — memory scales
   with coded rows, well below the raw text but not unbounded);
 * **incremental maintenance** — an insert batch becomes a new shard
-  (:meth:`ShardedPatternCounter.add_shard`): the per-shard caches of the
-  existing shards survive, only the cheap merged layer is recomputed,
-  instead of the full rebind-and-recount a monolithic counter needs;
-* **parallel profiling** — per-shard queries are independent, so with
-  ``parallel=True`` they run on a persistent pool of zero-copy workers
-  (:class:`repro.core.parallel.ShardWorkerPool`): tasks ship only shard
-  *references* — pack directory + shard index for pack-backed shards,
-  one-time :mod:`multiprocessing.shared_memory` exports otherwise — and
-  per-shard partials are merged in the calling process with the same
-  lexicographic merge as the serial path, so labels stay byte-identical.
+  (:meth:`~repro.core.counts.PatternCounter.add_shard`): the existing
+  shards' tables survive, only the cheap merged layer is recomputed,
+  instead of the full rebind-and-recount of a single-shard counter;
+* **parallel profiling** — per-shard table builds are independent, so
+  with ``parallel=True`` they run on a persistent pool of zero-copy
+  workers (:class:`repro.core.parallel.ShardWorkerPool`) and are merged
+  in the calling process, so labels stay byte-identical.
 
-:func:`make_counter` is the factory the upper layers call: it turns a
-dataset (plus a ``shards=`` knob), an iterable of chunk datasets, or an
-existing counter-like object into the right counting backend.
+This module holds the pieces around that counter: :func:`make_counter`,
+the factory the upper layers call to turn a dataset (plus a ``shards=``
+knob) or an iterable of chunk datasets into a counter, and
+:class:`ShardedDatasetView`, the dataset facade of a multi-shard counter.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.counts import (
-    PatternCounter,
-    expand_run_segments,
-    is_counter_like,
-    radix_fits,
-)
-from repro.core.parallel import chunk_bounds as _chunk_ranges
-from repro.core.pattern import (
-    Pattern,
-    encode_groups,
-    encode_range_groups,
-    split_by_ranges,
-)
-from repro.dataset.schema import MISSING_CODE, Schema
-from repro.dataset.table import Dataset, combine_codes
+from repro.core.counts import PatternCounter, merge_count_tables
+from repro.dataset.schema import Schema
+from repro.dataset.table import Dataset
 
 __all__ = [
     "ShardedDatasetView",
     "ShardedPatternCounter",
     "make_counter",
     "merge_count_tables",
-    "merge_key_tables",
 ]
 
-
-def merge_count_tables(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]], n_cols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-shard ``(combos, counts)`` tables into one exact table.
-
-    Count tables are additive: equal combination rows have their counts
-    summed, and the merged rows come out in lexicographic code order —
-    the same order :meth:`~repro.dataset.table.Dataset.joint_counts`
-    produces, so a merged table is indistinguishable from a table built
-    over the concatenated data.  Rows may contain ``-1`` (the
-    partial-support projections of missing-value relations).
-
-    Each combination row is collapsed into one ``int64`` Horner key
-    (codes shifted by +1 so missing markers encode too) and the merge is
-    a single 1-D stable argsort + ``np.add.reduceat`` — the row-wise
-    ``np.unique(axis=0)`` it replaces paid a void-dtype comparison per
-    element.  Horner keys over per-column radixes are monotone in the
-    row's lexicographic order (as is :func:`combine_codes`'s overflow
-    re-factorization, which ranks through a *sorted* unique), so the
-    output order is identical.
-    """
-    if not parts:
-        return (
-            np.empty((0, n_cols), dtype=np.int32),
-            np.empty(0, dtype=np.int64),
-        )
-    if len(parts) == 1:
-        # Per-shard tables are already lexicographically sorted and
-        # deduplicated (joint_counts/pattern_projections output).
-        combos = np.asarray(parts[0][0])
-        counts = np.asarray(parts[0][1], dtype=np.int64)
-        if combos.shape[0] == 0:
-            return (
-                np.empty((0, n_cols), dtype=np.int32),
-                np.empty(0, dtype=np.int64),
-            )
-        return combos.astype(np.int32, copy=False), counts
-    combos = np.vstack([np.asarray(p[0]) for p in parts])
-    counts = np.concatenate(
-        [np.asarray(p[1], dtype=np.int64) for p in parts]
-    )
-    if combos.shape[0] == 0:
-        return (
-            np.empty((0, n_cols), dtype=np.int32),
-            np.empty(0, dtype=np.int64),
-        )
-    shifted = combos.astype(np.int64) + 1  # missing (-1) becomes 0
-    cards = shifted.max(axis=0) + 1
-    keys = combine_codes(shifted, [int(c) for c in cards])
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.empty(sorted_keys.size, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    merged = np.add.reduceat(counts[order], starts)
-    unique = combos[order[starts]]
-    return unique.astype(np.int32, copy=False), merged
-
-
-def merge_key_tables(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum-merge per-shard sorted ``(keys, counts)`` key tables.
-
-    Key tables (:meth:`~repro.core.counts.PatternCounter.key_table`) are
-    additive exactly like count tables, and their keys are comparable
-    across shards (one shared schema, plain Horner encoding), so the
-    union's table is one concat + stable argsort + ``reduceat``.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    keys = np.concatenate([p[0] for p in parts])
-    counts = np.concatenate([p[1] for p in parts])
-    if keys.size == 0:
-        return keys.astype(np.int64, copy=False), counts.astype(
-            np.int64, copy=False
-        )
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.empty(sorted_keys.size, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    merged = np.add.reduceat(counts[order], starts)
-    return sorted_keys[starts], merged
+#: The multi-shard spelling of :class:`~repro.core.counts.PatternCounter`
+#: — one class serves every shard count.
+ShardedPatternCounter = PatternCounter
 
 
 class ShardedDatasetView:
-    """Read-only dataset facade over the shards of a sharded counter.
+    """Read-only dataset facade over the shards of a counter.
 
     Implements the slice of the :class:`~repro.dataset.table.Dataset`
     interface the labeling stack reads through ``counter.dataset`` —
@@ -171,7 +68,7 @@ class ShardedDatasetView:
 
     __slots__ = ("_counter",)
 
-    def __init__(self, counter: "ShardedPatternCounter") -> None:
+    def __init__(self, counter: PatternCounter) -> None:
         self._counter = counter
 
     @property
@@ -208,21 +105,23 @@ class ShardedDatasetView:
         """One logical row as ``{attribute: value}`` (shard order).
 
         Rows are numbered across shards in shard order — the same order
-        ``non_missing_mask`` concatenates.  This is what lets the
-        workload samplers (and the streaming drift monitor's sampled
-        recounts) draw tuples straight from a sharded deployment without
-        materializing the concatenation.
+        ``non_missing_mask`` concatenates — and negative indices count
+        from the end.  This is what lets the workload samplers (and the
+        streaming drift monitor's sampled recounts) draw tuples straight
+        from a sharded deployment without materializing the
+        concatenation.
         """
-        if index < 0:
-            index += self.n_rows
-        offset = index
+        n_rows = self.n_rows
+        if not -n_rows <= index < n_rows:
+            raise IndexError(
+                f"row index {index} out of range for {n_rows} rows"
+            )
+        offset = index % n_rows
         for shard in self._shards:
             if offset < shard.n_rows:
-                return shard.row(offset)
+                break
             offset -= shard.n_rows
-        raise IndexError(
-            f"row index {index} out of range for {self.n_rows} rows"
-        )
+        return shard.row(offset)
 
     @property
     def has_missing(self) -> bool:
@@ -257,846 +156,9 @@ class ShardedDatasetView:
         ]
         return merge_count_tables(parts, len(attributes))
 
-    def row(self, index: int) -> dict[str, Hashable]:
-        """Row ``index`` in shard order (for display and tests)."""
-        remaining = index
-        for shard in self._shards:
-            if remaining < shard.n_rows:
-                return shard.row(remaining)
-            remaining -= shard.n_rows
-        raise IndexError(f"row {index} out of range for {self.n_rows} rows")
-
     def iter_rows(self) -> Iterator[dict[str, Hashable]]:
         for shard in self._shards:
             yield from shard.iter_rows()
-
-
-class ShardedPatternCounter:
-    """Exact count oracle over a dataset partitioned into shards.
-
-    Drop-in for :class:`~repro.core.counts.PatternCounter` everywhere a
-    counter is consumed (the stack resolves counters through
-    :func:`repro.core.counts.as_counter`, which accepts any
-    counter-like object): counts, joint tables, value counts and label
-    sizes are merged from the per-shard counters and are exactly the
-    answers a single counter over the concatenated data would give.
-
-    Parameters
-    ----------
-    shards:
-        Non-empty sequence of datasets sharing one schema.  Use
-        :meth:`from_dataset` to partition an in-memory dataset, or feed
-        the chunks of :func:`~repro.dataset.csvio.read_csv_chunks`
-        directly.
-    parallel:
-        Run per-shard queries on a persistent pool of zero-copy workers
-        (:class:`repro.core.parallel.ShardWorkerPool`): spawned lazily
-        on the first parallel query, reused across ``count_many`` /
-        ``joint_tables`` / ``label_size_many`` / fit, shut down via
-        :meth:`close` (or the context manager) and re-created after a
-        crashed worker.  Tasks ship shard *references*, not data —
-        pack-backed shards are re-mapped read-only in each worker,
-        in-memory shards are exported once to shared memory.  Query-time
-        merging always happens in the calling process.  Single-shard
-        counters ignore the flag and stay on the serial path.
-    max_workers:
-        Pool size cap, clamped to ``min(max_workers, n_shards)``
-        (default: ``min(n_shards, os.cpu_count())``).
-    """
-
-    def __init__(
-        self,
-        shards: Sequence[Dataset],
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-    ) -> None:
-        shards = tuple(shards)
-        if not shards:
-            raise ValueError("at least one shard is required")
-        for position, shard in enumerate(shards):
-            if not isinstance(shard, Dataset):
-                raise TypeError(
-                    f"shard {position} is a {type(shard).__name__}, "
-                    "expected Dataset"
-                )
-            if shard.schema != shards[0].schema:
-                raise ValueError(
-                    f"shard {position} has a different schema; all shards "
-                    "must share one schema (pin domains when chunking)"
-                )
-        self._init_from_counters(
-            [PatternCounter(shard) for shard in shards],
-            shards[0].schema,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-
-    def _init_from_counters(
-        self,
-        counters: Sequence[PatternCounter],
-        schema: Schema,
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-    ) -> None:
-        # The per-shard *counters* are the source of truth; shard
-        # datasets are derived through them (see :attr:`shards`).  This
-        # lets a pack-backed counter defer its dataset — nothing here
-        # may touch ``counter.dataset``.
-        self._counters: list[PatternCounter] = list(counters)
-        self._schema = schema
-        self._parallel = bool(parallel)
-        self._max_workers = max_workers
-        self._pool = None  # ShardWorkerPool, created lazily
-        self._view = ShardedDatasetView(self)
-        # Merged-layer caches; the per-shard counters keep their own.
-        self._value_counts: dict[str, dict[Hashable, int]] = {}
-        self._fractions: dict[str, np.ndarray] = {}
-        self._joint_tables: dict[
-            tuple[str, ...], tuple[np.ndarray, np.ndarray]
-        ] = {}
-        self._label_sizes: dict[tuple[str, ...], int] = {}
-        self._full_rows: tuple[np.ndarray, np.ndarray] | None = None
-        # Merged sorted key tables, the batched-counting face: one
-        # sum-merge of the per-shard tables per attribute set, then
-        # every counts_for_codes batch is a single searchsorted against
-        # the merged table instead of a per-shard loop.  ``None`` marks
-        # sets the radix encoding cannot serve (64-bit overflow).
-        self._merged_key_tables: dict[
-            tuple[str, ...], tuple[np.ndarray, np.ndarray] | None
-        ] = {}
-        # Exclusive prefix sums over the merged key tables' counts: the
-        # range kernel's companion cache (see counts_for_runs).
-        self._merged_key_cumsums: dict[tuple[str, ...], np.ndarray] = {}
-
-    # -- constructors -------------------------------------------------------------
-
-    @classmethod
-    def from_counters(
-        cls,
-        counters: Sequence[PatternCounter],
-        schema: Schema,
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-    ) -> "ShardedPatternCounter":
-        """Assemble a sharded counter from existing per-shard counters.
-
-        The constructor of the warm-start path: the pack reader hands in
-        lazily-mapped :class:`~repro.persist.pack.PackedPatternCounter`
-        instances, and because this path never reads
-        ``counter.dataset``, no shard file is touched until a query
-        needs it.  ``schema`` must be the shared shard schema (a lazy
-        counter cannot be asked for it without materializing).
-        """
-        counters = list(counters)
-        if not counters:
-            raise ValueError("at least one shard counter is required")
-        for position, counter in enumerate(counters):
-            if not isinstance(counter, PatternCounter):
-                raise TypeError(
-                    f"shard counter {position} is a "
-                    f"{type(counter).__name__}, expected PatternCounter"
-                )
-        self = cls.__new__(cls)
-        self._init_from_counters(
-            counters, schema, parallel=parallel, max_workers=max_workers
-        )
-        return self
-
-    @classmethod
-    def from_dataset(
-        cls,
-        dataset: Dataset,
-        n_shards: int,
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-    ) -> "ShardedPatternCounter":
-        """Partition ``dataset`` into ``n_shards`` contiguous row ranges.
-
-        Shards are zero-copy row-range views
-        (:meth:`~repro.dataset.table.Dataset.row_slice`) — partitioning
-        never duplicates the code matrix.
-        """
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        boundaries = np.linspace(
-            0, dataset.n_rows, n_shards + 1, dtype=np.int64
-        )
-        shards = [
-            dataset.row_slice(boundaries[i], boundaries[i + 1])
-            for i in range(n_shards)
-        ]
-        return cls(shards, parallel=parallel, max_workers=max_workers)
-
-    # -- shard lifecycle ----------------------------------------------------------
-
-    @property
-    def shards(self) -> tuple[Dataset, ...]:
-        """The shard datasets, in row order.
-
-        Derived from the per-shard counters — for pack-backed shards
-        this *materializes* every shard (checksum + mmap), so query
-        paths that can stay lazy go through the counters instead.
-        """
-        return tuple(counter.dataset for counter in self._counters)
-
-    @property
-    def shard_counters(self) -> tuple[PatternCounter, ...]:
-        """The per-shard counters, in row order."""
-        return tuple(self._counters)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._counters)
-
-    def add_shard(self, dataset: Dataset) -> "ShardedPatternCounter":
-        """Append a shard — the incremental path for evolving data.
-
-        An insert batch becomes a new shard: the existing shards (and
-        their counters' caches — key tables, joint tables, fractions)
-        are untouched; only the merged-layer caches are dropped and
-        lazily recomputed from the per-shard tables, most of which are
-        already cached.  A 0-row batch is a no-op.  Returns ``self``.
-        """
-        if dataset.schema != self.schema:
-            raise ValueError(
-                "new shard's schema differs from the counter's schema"
-            )
-        if dataset.n_rows == 0:
-            return self
-        self._counters.append(PatternCounter(dataset))
-        self._drop_merged_caches()
-        return self
-
-    def _drop_merged_caches(self) -> None:
-        self._value_counts.clear()
-        self._fractions.clear()
-        self._joint_tables.clear()
-        self._label_sizes.clear()
-        self._full_rows = None
-        self._merged_key_tables.clear()
-        self._merged_key_cumsums.clear()
-        # The pool's shard references are frozen at pool build, so a
-        # shard change retires it; the next parallel query re-creates it
-        # over the new shard set.
-        self._shutdown_pool()
-
-    def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.close()
-
-    def _parallel_active(self) -> bool:
-        """Parallel dispatch applies only with 2+ shards — a K=1 counter
-        has nothing to fan out, so it never pays pool spawn cost."""
-        return self._parallel and len(self._counters) > 1
-
-    def _get_pool(self):
-        """The persistent worker pool, created lazily on first use.
-
-        One pool per counter: workers are expensive to spawn, and once
-        up they hold warm per-shard counters (pack mmaps or attached
-        shared-memory views), so reuse across query batches is where the
-        parallel path wins.
-        """
-        if self._pool is None:
-            from repro.core.parallel import ShardWorkerPool
-
-            self._pool = ShardWorkerPool(
-                self._counters,
-                self._schema,
-                max_workers=self._max_workers,
-            )
-        return self._pool
-
-    def _run_parallel(self, tasks: Sequence[tuple[int, str, object]]):
-        """Dispatch tasks to the pool; retire it if the batch fails.
-
-        The ``finally`` guarantees a mid-flight failure (worker crash
-        past its retry, cancelled build, pickling error) never leaks the
-        executor or the shared-memory exports — the next parallel query
-        starts from a fresh pool.
-        """
-        failed = True
-        try:
-            results = self._get_pool().run_shard_tasks(tasks)
-            failed = False
-            return results
-        finally:
-            if failed:
-                self._shutdown_pool()
-
-    def _fan_out(
-        self, method: str, items: Sequence[tuple[str, ...]]
-    ) -> list[list]:
-        """Run ``method`` over every (shard, item-chunk) pair in the pool.
-
-        Chunked granularity: the item batch is split into M chunks so
-        K shards x M chunks tasks keep every worker busy even when
-        shards are skewed.  Returns per-shard result lists aligned with
-        ``items``.
-        """
-        pool = self._get_pool()
-        chunks = _chunk_ranges(len(items), pool.chunk_count(len(items)))
-        tasks = [
-            (shard_index, method, items[start:stop])
-            for shard_index in range(len(self._counters))
-            for start, stop in chunks
-        ]
-        results = self._run_parallel(tasks)
-        per_shard: list[list] = []
-        position = 0
-        for _ in range(len(self._counters)):
-            shard_results: list = []
-            for _ in chunks:
-                shard_results.extend(results[position])
-                position += 1
-            per_shard.append(shard_results)
-        return per_shard
-
-    def close(self) -> None:
-        """Shut the worker pool down and release its shared memory.
-
-        Idempotent, and safe on a counter that never went parallel; the
-        counter itself stays fully usable (a later parallel query simply
-        builds a fresh pool).
-        """
-        self._shutdown_pool()
-
-    def __enter__(self) -> "ShardedPatternCounter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self._shutdown_pool()
-        except Exception:
-            pass
-
-    def invalidate_caches(self) -> None:
-        """Drop the merged caches and every per-shard cache."""
-        self._drop_merged_caches()
-        for counter in self._counters:
-            counter.invalidate_caches()
-
-    def rebind(self, dataset: Dataset) -> "ShardedPatternCounter":
-        """Re-partition onto a new snapshot, keeping the shard count.
-
-        Mirrors :meth:`PatternCounter.rebind`; prefer :meth:`add_shard`
-        for append-only evolution — rebinding throws every cache away.
-        """
-        boundaries = np.linspace(
-            0, dataset.n_rows, len(self._counters) + 1, dtype=np.int64
-        )
-        shards = [
-            dataset.row_slice(boundaries[i], boundaries[i + 1])
-            for i in range(len(self._counters))
-        ]
-        for shard in shards:
-            if shard.schema != shards[0].schema:  # pragma: no cover
-                raise ValueError("partitioning produced mixed schemas")
-        self._schema = shards[0].schema
-        self._counters = [PatternCounter(shard) for shard in shards]
-        self._drop_merged_caches()
-        return self
-
-    # -- persistence --------------------------------------------------------------
-
-    def dump(
-        self,
-        path,
-        *,
-        labels: Mapping[str, object] | None = None,
-        include_caches: bool = True,
-    ):
-        """Write the sharded fit state as a ``repro-pack/1`` directory.
-
-        One binary file per shard (see
-        :func:`repro.persist.pack.write_pack`); reopening maps shards
-        lazily, so a consumer that only needs some shards never pays
-        for the rest.  Returns the pack directory path.
-        """
-        from repro.persist.pack import write_pack
-
-        return write_pack(
-            path, self, labels=labels, include_caches=include_caches
-        )
-
-    @classmethod
-    def from_pack(
-        cls,
-        path,
-        *,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        verify: str = "lazy",
-    ) -> "ShardedPatternCounter":
-        """Reopen a pack as a sharded counter over lazy shard counters.
-
-        Every shard stays unread (not even checksummed) until a query
-        touches it.  Single-shard packs are wrapped the same way, so
-        the caller always gets the sharded interface it asked for.
-        ``verify`` is the checksum policy of the underlying reader (see
-        :func:`repro.persist.pack.open_pack`).
-        """
-        from repro.persist.pack import open_pack
-
-        reader = open_pack(path, verify=verify)
-        return cls.from_counters(
-            [reader.shard_counter(i) for i in range(reader.n_shards)],
-            reader.schema,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
-
-    # -- dataset facade -----------------------------------------------------------
-
-    @property
-    def schema(self) -> Schema:
-        """The shared shard schema."""
-        return self._schema
-
-    @property
-    def dataset(self) -> ShardedDatasetView:
-        """A live, read-only view standing in for the profiled dataset."""
-        return self._view
-
-    @property
-    def total_rows(self) -> int:
-        """``|D|`` summed over shards (pack-backed shards stay unmapped)."""
-        return sum(counter.total_rows for counter in self._counters)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedPatternCounter({self.total_rows} rows, "
-            f"{len(self._counters)} shards, parallel={self._parallel})"
-        )
-
-    # -- counting -----------------------------------------------------------------
-
-    def count(self, pattern: Pattern) -> int:
-        """Exact count ``c_D(p)``: the sum of per-shard counts."""
-        return sum(counter.count(pattern) for counter in self._counters)
-
-    def _merged_key_table(
-        self, attrs: tuple[str, ...]
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Merged sorted key table over ``attrs``, built once and cached.
-
-        The per-shard tables (each a cached sorted group-by of its
-        shard's encoded rows) are built serially or fanned out to the
-        worker pool, then sum-merged with :func:`merge_key_tables`.
-        ``None`` when the radix encoding over ``attrs`` overflows 64
-        bits — callers fall back to the per-shard sum loop.
-        """
-        if attrs in self._merged_key_tables:
-            return self._merged_key_tables[attrs]
-        if not radix_fits(self._schema, attrs):
-            self._merged_key_tables[attrs] = None
-            return None
-        if self._parallel_active():
-            per_shard = self._fan_out("key_tables", [attrs])
-            parts = [tables[0] for tables in per_shard]
-        else:
-            parts = [
-                counter.key_table(attrs) for counter in self._counters
-            ]
-        # radix_fits is schema-level, and every shard shares the schema.
-        assert all(part is not None for part in parts)
-        merged = merge_key_tables(parts)
-        self._merged_key_tables[attrs] = merged
-        return merged
-
-    def counts_for_codes(
-        self, attributes: Sequence[str], combos: np.ndarray
-    ) -> np.ndarray:
-        """Exact batched counts via one merged sorted key table.
-
-        First batch over an attribute set sum-merges the per-shard key
-        tables (optionally on the worker pool) into one sorted table;
-        every batch thereafter — this one included — costs a single
-        ``searchsorted`` against it, the same lookup a single counter's
-        promoted key table pays, instead of a per-shard kernel loop.
-        Radix-overflow sets fall back to summing per-shard answers.
-        """
-        attrs = tuple(attributes)
-        combos = np.asarray(combos)
-        if combos.ndim != 2 or combos.shape[1] != len(attrs):
-            raise ValueError(
-                f"combos must be (n, {len(attrs)}) for attributes {attrs}"
-            )
-        if combos.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        table = self._merged_key_table(attrs)
-        if table is None:
-            total: np.ndarray | None = None
-            for counter in self._counters:
-                part = counter.counts_for_codes(attrs, combos)
-                total = part if total is None else total + part
-            assert total is not None  # >= 1 shard guaranteed
-            return total
-        keys, counts = table
-        if keys.size == 0:
-            return np.zeros(combos.shape[0], dtype=np.int64)
-        cards = [self._schema[a].cardinality for a in attrs]
-        query_keys = combine_codes(combos, cards)
-        idx = np.searchsorted(keys, query_keys)
-        idx_clamped = np.minimum(idx, keys.size - 1)
-        found = keys[idx_clamped] == query_keys
-        return np.where(found, counts[idx_clamped], 0).astype(np.int64)
-
-    def _merged_key_cumsum(self, attrs: tuple[str, ...]) -> np.ndarray:
-        """Exclusive prefix sums over the merged key table's counts."""
-        cum = self._merged_key_cumsums.get(attrs)
-        if cum is None:
-            table = self._merged_key_table(attrs)
-            assert table is not None  # caller checked
-            cum = np.concatenate(
-                (
-                    np.zeros(1, dtype=np.int64),
-                    np.cumsum(table[1], dtype=np.int64),
-                )
-            )
-            self._merged_key_cumsums[attrs] = cum
-        return cum
-
-    def counts_for_runs(
-        self,
-        attributes: Sequence[str],
-        runs_rows: Sequence[Sequence[Sequence[tuple[int, int]]]],
-    ) -> np.ndarray:
-        """Exact batched counts for a homogeneous *code-run* batch.
-
-        The range twin of :meth:`counts_for_codes`: patterns arrive as
-        per-attribute half-open code runs (see
-        :func:`repro.core.pattern.encode_range_groups`) and are expanded
-        into Horner key segments against the merged sorted key table —
-        one segment costs two ``searchsorted`` probes into the cached
-        cumulative counts, exactly like the single counter.  When the
-        radix encoding cannot serve the attribute set, the per-shard
-        answers are summed instead — fanned out over the worker pool
-        when one is active, with the code runs themselves (plain Python
-        ints) crossing the process boundary as the task payload.
-        """
-        attrs = tuple(attributes)
-        runs_rows = list(runs_rows)
-        out = np.zeros(len(runs_rows), dtype=np.int64)
-        if not runs_rows:
-            return out
-        table = self._merged_key_table(attrs)
-        if table is None:
-            return self._counts_for_runs_per_shard(attrs, runs_rows)
-        seg_lo, seg_hi, owner, overflowed = expand_run_segments(
-            runs_rows, [self._schema[a].cardinality for a in attrs]
-        )
-        keys, _counts = table
-        if seg_lo.size and keys.size:
-            cum = self._merged_key_cumsum(attrs)
-            hits = (
-                cum[np.searchsorted(keys, seg_hi, side="left")]
-                - cum[np.searchsorted(keys, seg_lo, side="left")]
-            )
-            np.add.at(out, owner, hits)
-        if overflowed:
-            rows = [runs_rows[j] for j in overflowed]
-            fallback = self._counts_for_runs_per_shard(attrs, rows)
-            out[overflowed] = fallback
-        return out
-
-    def _counts_for_runs_per_shard(
-        self,
-        attrs: tuple[str, ...],
-        runs_rows: list,
-    ) -> np.ndarray:
-        """Sum per-shard ``counts_for_runs`` answers (pool-parallel)."""
-        if self._parallel_active():
-            pool = self._get_pool()
-            chunks = _chunk_ranges(
-                len(runs_rows), pool.chunk_count(len(runs_rows))
-            )
-            tasks = [
-                (
-                    shard_index,
-                    "counts_for_runs",
-                    (attrs, runs_rows[start:stop]),
-                )
-                for shard_index in range(len(self._counters))
-                for start, stop in chunks
-            ]
-            results = self._run_parallel(tasks)
-            out = np.zeros(len(runs_rows), dtype=np.int64)
-            position = 0
-            for _ in range(len(self._counters)):
-                for start, stop in chunks:
-                    out[start:stop] += np.asarray(
-                        results[position], dtype=np.int64
-                    )
-                    position += 1
-            return out
-        total: np.ndarray | None = None
-        for counter in self._counters:
-            part = counter.counts_for_runs(attrs, runs_rows)
-            total = part if total is None else total + part
-        assert total is not None  # >= 1 shard guaranteed
-        return total
-
-    def count_many(self, patterns: Iterable[Pattern]) -> np.ndarray:
-        """Exact counts for an arbitrary pattern batch.
-
-        Patterns are encoded once (shared with the single-counter batch
-        kernel) and each group — equality code matrices and range
-        code-run groups alike — is resolved against the merged key
-        tables; group sums are exact by additivity.
-        """
-        patterns = list(patterns)
-        out = np.zeros(len(patterns), dtype=np.int64)
-        if not patterns:
-            return out
-        equality, ranged = split_by_ranges(patterns)
-        if not ranged:
-            for attrs, combos, indices in encode_groups(
-                patterns, self.schema
-            ):
-                out[indices] = self.counts_for_codes(attrs, combos)
-            return out
-        for attrs, combos, indices in encode_groups(
-            [patterns[i] for i in equality], self.schema
-        ):
-            out[[equality[j] for j in indices]] = self.counts_for_codes(
-                attrs, combos
-            )
-        for order, runs_rows, indices in encode_range_groups(
-            [patterns[i] for i in ranged], self.schema
-        ):
-            out[[ranged[j] for j in indices]] = self.counts_for_runs(
-                order, runs_rows
-            )
-        return out
-
-    # -- per-attribute statistics ---------------------------------------------------
-
-    def _require_attribute(self, attribute: str) -> None:
-        """Raise a self-explanatory ``KeyError`` for unknown attributes."""
-        if attribute not in self._schema:
-            known = ", ".join(repr(name) for name in self._schema.names)
-            raise KeyError(
-                f"no attribute named {attribute!r}; known attributes: "
-                f"{known}"
-            )
-
-    def value_counts(self, attribute: str) -> dict[Hashable, int]:
-        """Merged value counts (domains are shared, so keys align)."""
-        cached = self._value_counts.get(attribute)
-        if cached is None:
-            self._require_attribute(attribute)
-            merged: dict[Hashable, int] = {}
-            for counter in self._counters:
-                for value, count in counter.value_counts(attribute).items():
-                    merged[value] = merged.get(value, 0) + count
-            self._value_counts[attribute] = cached = merged
-        return cached
-
-    def value_count(self, attribute: str, value: Hashable) -> int:
-        counts = self.value_counts(attribute)
-        try:
-            return counts[value]
-        except KeyError:
-            raise KeyError(
-                f"value {value!r} not in the active domain of attribute "
-                f"{attribute!r}"
-            ) from None
-
-    def fractions(self, attribute: str) -> np.ndarray:
-        """Global independence factors, from the merged value counts."""
-        cached = self._fractions.get(attribute)
-        if cached is None:
-            self._require_attribute(attribute)
-            column = self.schema[attribute]
-            counts = np.array(
-                [
-                    self.value_counts(attribute)[category]
-                    for category in column.categories
-                ],
-                dtype=np.float64,
-            )
-            denominator = counts.sum()
-            cached = (
-                np.zeros_like(counts)
-                if denominator == 0
-                else counts / denominator
-            )
-            self._fractions[attribute] = cached
-        return cached
-
-    def fraction(self, attribute: str, value: Hashable) -> float:
-        code = self.schema[attribute].code_of(value)
-        return float(self.fractions(attribute)[code])
-
-    def predicate_fraction(self, attribute: str, predicate) -> float:
-        """Summed independence factor of a predicate on ``attribute``."""
-        fractions = self.fractions(attribute)
-        runs = self.schema[attribute].code_runs(predicate)
-        return float(sum(fractions[lo:hi].sum() for lo, hi in runs))
-
-    # -- attribute-set statistics ---------------------------------------------------
-
-    def _shard_joint_tables(
-        self, attribute_sets: Sequence[tuple[str, ...]]
-    ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """Per-shard joint tables for several attribute sets.
-
-        Serial path reads through (and warms) the per-shard counters'
-        caches; the parallel path fans chunked (shard, sets) tasks to
-        the persistent zero-copy pool — worker-side caches persist in
-        the workers (the pool outlives the batch), and the merged
-        results land in this counter's merged cache, which is what
-        queries hit.
-        """
-        if self._parallel_active():
-            return self._fan_out("joint_tables", list(attribute_sets))
-        return [
-            [counter.joint_table(attrs) for attrs in attribute_sets]
-            for counter in self._counters
-        ]
-
-    def joint_tables(
-        self, attribute_sets: Iterable[Sequence[str]]
-    ) -> dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]]:
-        """Merged joint count tables for several attribute sets at once.
-
-        Uncached sets are built per shard (optionally in the process
-        pool) and merged additively; the merged tables are cached, so a
-        repeat request is a dictionary lookup.
-        """
-        requested: list[tuple[str, ...]] = []
-        for attributes in attribute_sets:
-            key = tuple(attributes)
-            if key not in requested:
-                requested.append(key)
-        missing = [key for key in requested if key not in self._joint_tables]
-        if missing:
-            per_shard = self._shard_joint_tables(missing)
-            for position, key in enumerate(missing):
-                parts = [tables[position] for tables in per_shard]
-                self._joint_tables[key] = merge_count_tables(
-                    parts, len(key)
-                )
-        return {key: self._joint_tables[key] for key in requested}
-
-    def joint_table(
-        self, attributes: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Merged joint count table over one attribute set (cached)."""
-        key = tuple(attributes)
-        return self.joint_tables([key])[key]
-
-    def label_size(self, attributes: Sequence[str]) -> int:
-        """``|P_S|``: the distinct-combination sets union across shards.
-
-        Exact because "distinct" is union-stable: the merged distinct
-        projections over ``S`` are exactly the distinct projections of
-        the concatenated data (including the partial-support accounting
-        of missing-value relations — see
-        :meth:`~repro.dataset.table.Dataset.n_distinct`).
-        """
-        key = tuple(attributes)
-        if not key:
-            return 0
-        cached = self._label_sizes.get(key)
-        if cached is None:
-            combos, _ = self._view.pattern_projections(list(key))
-            cached = int(combos.shape[0])
-            self._label_sizes[key] = cached
-        return cached
-
-    def _shard_distinct_key_sets(
-        self, attribute_sets: Sequence[tuple[str, ...]]
-    ) -> list[list[np.ndarray | None]]:
-        """Per-shard distinct key sets for several attribute sets.
-
-        Serial path reads through the per-shard counters (warming their
-        encoded-column caches); the parallel path fans chunked tasks to
-        the persistent pool, exactly like the joint-table builds.
-        """
-        if self._parallel_active():
-            return self._fan_out("distinct_keys", list(attribute_sets))
-        return [
-            [counter.distinct_keys(attrs) for attrs in attribute_sets]
-            for counter in self._counters
-        ]
-
-    def label_size_many(
-        self, attribute_sets: Iterable[Sequence[str]]
-    ) -> np.ndarray:
-        """``|P_S|`` for a batch of attribute sets, merged exactly.
-
-        Distinct combinations are union-stable, so each subset's size is
-        the size of the union of the per-shard distinct radix key sets
-        — computed per shard (optionally in the process pool) and merged
-        with one ``np.unique`` over the concatenated per-shard uniques.
-        Subsets the radix encoding cannot serve (missing values, 64-bit
-        overflow) fall back to the merged-projection path of
-        :meth:`label_size`.  Sizes land in the shared merged cache.
-        """
-        requested = [tuple(attrs) for attrs in attribute_sets]
-        out = np.empty(len(requested), dtype=np.int64)
-        missing: list[tuple[str, ...]] = []
-        queued: set[tuple[str, ...]] = set()
-        for attrs in requested:
-            if attrs and attrs not in self._label_sizes and attrs not in queued:
-                queued.add(attrs)
-                missing.append(attrs)
-        if missing:
-            per_shard = self._shard_distinct_key_sets(missing)
-            for position, attrs in enumerate(missing):
-                parts = [keys[position] for keys in per_shard]
-                if any(part is None for part in parts):
-                    # Falls back per subset; label_size caches the result.
-                    self.label_size(attrs)
-                    continue
-                merged = np.unique(np.concatenate(parts))
-                self._label_sizes[attrs] = int(merged.size)
-        for position, attrs in enumerate(requested):
-            out[position] = self.label_size(attrs)
-        return out
-
-    def distinct_full_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Merged distinct fully-present rows with exact counts."""
-        if self._full_rows is None:
-            parts = [
-                counter.distinct_full_rows() for counter in self._counters
-            ]
-            self._full_rows = merge_count_tables(parts, len(self.schema))
-        return self._full_rows
-
-    # -- conversions ---------------------------------------------------------------
-
-    def pattern_from_codes(
-        self, attributes: Sequence[str], codes: Sequence[int]
-    ) -> Pattern:
-        """Decode a code vector over ``attributes`` into a :class:`Pattern`."""
-        schema = self.schema
-        assignments: dict[str, Hashable] = {}
-        for attribute, code in zip(attributes, codes):
-            if code == MISSING_CODE:
-                raise ValueError(
-                    "cannot build a pattern from a missing value"
-                )
-            assignments[attribute] = schema[attribute].category_of(int(code))
-        return Pattern(assignments)
-
-    def codes_from_pattern(self, pattern: Pattern) -> Mapping[str, int]:
-        """Encode a pattern as attribute → code."""
-        schema = self.schema
-        return {
-            attribute: schema[attribute].code_of(value)
-            for attribute, value in pattern.items_sorted
-        }
 
 
 def _concat_all(chunks: Sequence[Dataset]) -> Dataset:
@@ -1134,46 +196,42 @@ def make_counter(
     shards: int | None = None,
     parallel: bool = False,
     max_workers: int | None = None,
-) -> PatternCounter | ShardedPatternCounter:
-    """Build the right counting backend for ``source``.
+) -> PatternCounter:
+    """Build the counter for ``source`` — the one way data becomes one.
 
-    The single counter-construction hook of the stack — the search
-    algorithms, the strategy registry and :class:`LabelingSession` all
-    resolve their data through here.
+    The search algorithms, error evaluation, label construction, the
+    strategy registry and :class:`LabelingSession` all resolve their
+    data through here.
 
     Parameters
     ----------
     source:
-        * an existing counter (or any counter-like object): returned
-          unchanged — ``shards``/``parallel`` are ignored, the caller
-          already chose a backend;
-        * a :class:`~repro.dataset.table.Dataset`: wrapped in a plain
-          :class:`PatternCounter`, or partitioned into a
-          :class:`ShardedPatternCounter` when ``shards > 1``;
+        * an existing :class:`~repro.core.counts.PatternCounter`:
+          returned unchanged — ``shards``/``parallel`` are ignored, the
+          caller already chose its shape;
+        * a :class:`~repro.dataset.table.Dataset`: one shard, or
+          partitioned into ``shards`` contiguous row ranges when
+          ``shards > 1``;
         * an iterable of chunk datasets (e.g. the generator of
           :func:`~repro.dataset.csvio.read_csv_chunks`): one shard per
           chunk by default; with ``shards=K`` adjacent chunks are
           coalesced down to ``K`` shards, and ``shards=1`` collapses to
-          a single plain counter.
+          a single shard.
     shards:
         Target shard count (``None`` keeps the source's natural shape).
     parallel:
-        Passed to :class:`ShardedPatternCounter` (persistent zero-copy
-        worker pool for per-shard query fan-out).
+        Fan per-shard table builds out to a persistent zero-copy worker
+        pool (see :class:`~repro.core.counts.PatternCounter`).
     max_workers:
         Worker-pool size cap, clamped to the shard count; only
         meaningful with ``parallel=True``.
     """
-    if isinstance(source, (PatternCounter, ShardedPatternCounter)):
+    if isinstance(source, PatternCounter):
         return source
-    if is_counter_like(source):
-        return source  # third-party counter backends pass through
+    options = {"parallel": parallel, "max_workers": max_workers}
     if isinstance(source, Dataset):
-        if shards is None or shards <= 1:
-            return PatternCounter(source)
-        return ShardedPatternCounter.from_dataset(
-            source, shards, parallel=parallel, max_workers=max_workers
-        )
+        n_shards = max(shards or 1, 1)
+        return PatternCounter.from_dataset(source, n_shards, **options)
     try:
         chunks = [chunk for chunk in source]
     except TypeError:
@@ -1197,14 +255,7 @@ def make_counter(
             # smaller than one chunk): concatenate and re-split by rows
             # so the caller gets the parallelism they asked for instead
             # of a silently smaller shard count.
-            merged = _concat_all(chunks)
-            if shards <= 1:
-                return PatternCounter(merged)
-            return ShardedPatternCounter.from_dataset(
-                merged, shards, parallel=parallel, max_workers=max_workers
+            return PatternCounter.from_dataset(
+                _concat_all(chunks), shards, **options
             )
-    if len(chunks) == 1 and (shards is None or shards <= 1):
-        return PatternCounter(chunks[0])
-    return ShardedPatternCounter(
-        chunks, parallel=parallel, max_workers=max_workers
-    )
+    return PatternCounter(chunks, **options)

@@ -25,7 +25,6 @@ __all__ = [
     "MANIFEST_NAME",
     "PackReader",
     "PackStats",
-    "PackedPatternCounter",
     "open_pack",
     "write_pack",
     "verify_pack",
@@ -37,7 +36,6 @@ _PACK_SYMBOLS = frozenset(
         "MANIFEST_NAME",
         "PackReader",
         "PackStats",
-        "PackedPatternCounter",
         "open_pack",
         "write_pack",
         "verify_pack",

@@ -10,16 +10,16 @@ search, cache warming) and cheap to store.  The directory layout:
       manifest.json      # schema, domains, shard list, array metadata,
                          # per-file checksums — always written LAST
       shard-0000.bin     # one flat binary file per shard: the numpy
-      shard-0001.bin     # payloads of that shard's PatternCounter state
+      shard-0001.bin     # payloads of one row source of the counter
       label-<name>.json  # optional label envelopes (repro-label/4)
 
 Each ``shard-NNNN.bin`` is a concatenation of standard ``.npy`` blocks
 (``np.lib.format.write_array`` version 1.0, never pickled), one per
-persisted array: the encoded code matrix, cached radix row-id tables,
-sorted key tables, and joint count tables.  The manifest records every
-block's role, dtype, shape, and byte offset, so reopening maps each
-array straight off the file with :class:`numpy.memmap` — no
-deserialization pass, and the OS only pages in what queries touch.
+persisted array: the encoded code matrix, sorted key tables, and joint
+count tables.  The manifest records every block's role, dtype, shape,
+and byte offset, so reopening maps each array straight off the file
+with :class:`numpy.memmap` — no deserialization pass, and the OS only
+pages in what queries touch.
 
 Laziness and trust are reconciled per *shard*: opening a pack reads
 only the manifest (plus one ``os.stat`` per referenced file, which
@@ -59,8 +59,7 @@ import numpy as np
 
 from repro.api.artifacts import from_artifact, to_artifact
 from repro.api.errors import ArtifactError
-from repro.core.counts import PatternCounter
-from repro.core.sharding import ShardedPatternCounter
+from repro.core.counts import KeyTable, PatternCounter, RowSource
 from repro.dataset.schema import Column, Schema
 from repro.dataset.table import Dataset
 from repro.persist.atomic import atomic_open, atomic_write
@@ -70,7 +69,6 @@ __all__ = [
     "MANIFEST_NAME",
     "PackReader",
     "PackStats",
-    "PackedPatternCounter",
     "open_pack",
     "write_pack",
     "verify_pack",
@@ -80,8 +78,10 @@ PACK_FORMAT = "repro-pack/1"
 MANIFEST_NAME = "manifest.json"
 
 #: Array roles a shard file may carry.  ``codes`` is the dataset itself
-#: (mandatory); the rest are the warm caches of
-#: :class:`~repro.core.counts.PatternCounter`, keyed by attribute tuple.
+#: (mandatory); the rest are the warm tables of a
+#: :class:`~repro.core.counts.RowSource`, keyed by attribute tuple.
+#: ``row_keys`` (per-row radix keys, written by earlier versions) is
+#: accepted and ignored: the keys are recomputed on demand.
 _ROLES = (
     "codes",
     "row_keys",
@@ -172,7 +172,7 @@ def _write_shard_file(
 
 def write_pack(
     path: str | Path,
-    counter: PatternCounter | ShardedPatternCounter,
+    counter: PatternCounter,
     *,
     labels: Mapping[str, Any] | None = None,
     include_caches: bool = True,
@@ -185,9 +185,8 @@ def write_pack(
         Pack directory (created if missing; existing shard/label files
         of the same names are replaced atomically).
     counter:
-        A fitted :class:`~repro.core.counts.PatternCounter` or
-        :class:`~repro.core.sharding.ShardedPatternCounter`; each shard
-        becomes one binary file.
+        A fitted :class:`~repro.core.counts.PatternCounter`; each of its
+        row sources becomes one binary file.
     labels:
         Optional ``name -> artifact`` mapping (labels, flexible labels,
         bundles, or their estimators); each is serialized through the
@@ -195,28 +194,24 @@ def write_pack(
         self-contained deployment ``repro serve --artifact-dir`` can
         publish without touching shard payloads.
     include_caches:
-        Persist the counter's warm caches (radix row-id tables, sorted
-        key tables, joint tables) alongside the code matrices.  ``False``
-        packs the datasets alone — smaller files, cold caches.
+        Persist the sources' warm tables (sorted key tables, joint
+        tables) alongside the code matrices.  ``False`` packs the
+        datasets alone — smaller files, cold caches.
     """
-    if isinstance(counter, ShardedPatternCounter):
-        shard_counters: Sequence[PatternCounter] = counter.shard_counters
-    elif isinstance(counter, PatternCounter):
-        shard_counters = [counter]
-    else:
+    if not isinstance(counter, PatternCounter):
         raise ArtifactError(
             f"cannot pack a {type(counter).__name__!r}; expected a "
-            "PatternCounter or ShardedPatternCounter"
+            "PatternCounter"
         )
 
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
 
     shard_entries: list[dict[str, Any]] = []
-    for index, shard_counter in enumerate(shard_counters):
-        arrays = shard_counter._persist_arrays(include_caches=include_caches)
+    for index, source in enumerate(counter.sources):
+        arrays = source.persisted_arrays(include_caches=include_caches)
         entry = _write_shard_file(path / f"shard-{index:04d}.bin", arrays)
-        entry["rows"] = int(shard_counter.total_rows)
+        entry["rows"] = int(source.rows)
         shard_entries.append(entry)
 
     label_entries: list[dict[str, Any]] = []
@@ -242,9 +237,7 @@ def write_pack(
 
     manifest = {
         "format": PACK_FORMAT,
-        "schema": _schema_to_manifest(
-            shard_counters[0].dataset.schema
-        ),
+        "schema": _schema_to_manifest(counter.schema),
         "total_rows": sum(entry["rows"] for entry in shard_entries),
         "shard_count": len(shard_entries),
         "shards": shard_entries,
@@ -283,28 +276,57 @@ class PackStats:
     bytes_verified: int = 0
 
 
-class _ShardHandle:
-    """Deferred view of one shard file: metadata now, bytes on demand."""
+class _PackSource(RowSource):
+    """One pack shard as a row source: metadata now, bytes on demand.
+
+    Construction is free: no byte of the shard file is read (beyond the
+    reader's open-time existence/size screen) until a query first needs
+    the rows, at which point the file's checksum is verified once and
+    every persisted array is mapped read-only in place — the code matrix
+    becomes the dataset, the key and joint tables seed this source's
+    caches.  The mapped tables are never written through; ``clear``
+    (maintenance, rebinding) simply drops them, and later tables are
+    computed in memory — copy-on-write at whole-cache granularity.
+    """
 
     def __init__(self, reader: "PackReader", index: int, entry: dict) -> None:
+        super().__init__(None)
         self._reader = reader
         self._index = index
         self._entry = entry
         self._lock = threading.Lock()
-        self._materialized: tuple | None = None
+
+    @property
+    def dataset(self) -> Dataset:
+        """The shard's rows, verified and mapped on first access."""
+        if self._dataset is None:
+            with self._lock:
+                if self._dataset is None:
+                    self._load()
+        return self._dataset
+
+    @property
+    def schema(self) -> Schema:
+        return self._reader.schema
 
     @property
     def rows(self) -> int:
+        """``|D|`` of the shard — served from the manifest while unmapped."""
         return int(self._entry["rows"])
 
     @property
-    def file_name(self) -> str:
-        return self._entry["file"]
+    def loaded(self) -> bool:
+        """True once the shard file has been verified and mapped."""
+        return self._dataset is not None
 
-    def reference(self) -> tuple[str, int]:
-        """``(pack directory, shard index)`` — the zero-copy address a
-        pool worker re-opens this shard by."""
-        return str(self._reader.path), self._index
+    @property
+    def pack_shard_ref(self):
+        """Zero-copy worker address of this shard (pack dir + index):
+        :class:`repro.core.parallel.ShardWorkerPool` ships it instead of
+        exporting the rows to shared memory."""
+        from repro.core.parallel import PackShardRef
+
+        return PackShardRef(str(self._reader.path), self._index)
 
     def ensure_verified(self) -> None:
         """Checksum the shard file now (no-op if already verified).
@@ -316,19 +338,7 @@ class _ShardHandle:
         """
         self._reader._verify_file(self._entry, kind="shard")
 
-    def materialize(self) -> tuple[Dataset, dict, dict, dict]:
-        """Verify the shard file once and map every array read-only.
-
-        Returns ``(dataset, row_keys, key_tables, joint_tables)`` — the
-        dataset plus the persisted warm caches, all backed by read-only
-        memmaps of the shard file.
-        """
-        with self._lock:
-            if self._materialized is None:
-                self._materialized = self._load()
-            return self._materialized
-
-    def _load(self) -> tuple[Dataset, dict, dict, dict]:
+    def _load(self) -> None:
         reader = self._reader
         entry = self._entry
         file_path = reader.path / entry["file"]
@@ -336,8 +346,7 @@ class _ShardHandle:
         reader.stats.shard_loads.append(entry["file"])
 
         codes: np.ndarray | None = None
-        row_keys: dict[tuple[str, ...], np.ndarray] = {}
-        key_parts: dict[str, dict[tuple[str, ...], np.ndarray]] = {
+        parts: dict[str, dict[tuple[str, ...], np.ndarray]] = {
             "key_keys": {},
             "key_counts": {},
             "joint_combos": {},
@@ -351,15 +360,13 @@ class _ShardHandle:
                         f"pack shard file {file_path} carries an unknown "
                         f"array role {role!r}"
                     )
+                if role == "row_keys":
+                    continue
                 array = self._map_array(file_path, meta)
                 if role == "codes":
                     codes = array
-                    continue
-                attrs = tuple(meta["attributes"])
-                if role == "row_keys":
-                    row_keys[attrs] = array
                 else:
-                    key_parts[role][attrs] = array
+                    parts[role][tuple(meta["attributes"])] = array
         except ArtifactError:
             raise
         except (KeyError, TypeError, ValueError, OSError) as exc:
@@ -386,15 +393,21 @@ class _ShardHandle:
             )
 
         key_tables = self._pair_tables(
-            key_parts["key_keys"], key_parts["key_counts"], "key", file_path
+            parts["key_keys"], parts["key_counts"], "key", file_path
         )
-        joint_tables = self._pair_tables(
-            key_parts["joint_combos"],
-            key_parts["joint_counts"],
-            "joint",
-            file_path,
+        self._key_tables.update(
+            (attrs, KeyTable(keys, counts))
+            for attrs, (keys, counts) in key_tables.items()
         )
-        return dataset, row_keys, key_tables, joint_tables
+        self._joint_tables.update(
+            self._pair_tables(
+                parts["joint_combos"],
+                parts["joint_counts"],
+                "joint",
+                file_path,
+            )
+        )
+        self._dataset = dataset
 
     def _map_array(self, file_path: Path, meta: dict) -> np.ndarray:
         dtype = np.dtype(meta["dtype"])
@@ -411,10 +424,9 @@ class _ShardHandle:
                 f"[{offset}, {end}) outside the file's {self._entry['bytes']}"
                 " bytes"
             )
-        array = np.memmap(
+        return np.memmap(
             file_path, dtype=dtype, mode="r", offset=offset, shape=shape
         )
-        return array
 
     @staticmethod
     def _pair_tables(
@@ -428,68 +440,6 @@ class _ShardHandle:
         return {attrs: (lefts[attrs], rights[attrs]) for attrs in lefts}
 
 
-class PackedPatternCounter(PatternCounter):
-    """A :class:`PatternCounter` whose state lives in a pack shard.
-
-    Construction is free: no byte of the shard file is read (beyond the
-    open-time existence/size validation) until the first query touches
-    the dataset, at which point the shard's checksum is verified once
-    and every persisted array is mapped read-only in place.  The mapped
-    caches are never written through — maintenance goes through
-    :meth:`rebind`/:meth:`invalidate_caches`, which drop the mapped
-    views and fall back to ordinary in-memory recomputation
-    (copy-on-write at the granularity of whole caches).
-    """
-
-    def __init__(self, handle: _ShardHandle) -> None:
-        self._handle = handle
-        self._init_caches()
-
-    def __getattr__(self, name: str):
-        # Only fires for attributes not yet set: the first `_dataset`
-        # read materializes the shard (checksum + mmap) and installs the
-        # persisted warm caches; afterwards normal lookup wins.
-        if name == "_dataset":
-            dataset, row_keys, key_tables, joint_tables = (
-                self._handle.materialize()
-            )
-            self._dataset = dataset
-            self._install_persisted_caches(row_keys, key_tables, joint_tables)
-            return dataset
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    @property
-    def loaded(self) -> bool:
-        """True once the shard file has been verified and mapped."""
-        return "_dataset" in self.__dict__
-
-    @property
-    def total_rows(self) -> int:
-        """``|D|`` — served from the manifest while still unmapped."""
-        if "_dataset" in self.__dict__:
-            return self._dataset.n_rows
-        return self._handle.rows
-
-    @property
-    def pack_shard_ref(self):
-        """Zero-copy worker address of this shard (pack dir + index).
-
-        The hook :class:`repro.core.parallel.ShardWorkerPool` probes
-        for: a counter exposing it is shipped to workers by reference
-        instead of being exported to shared memory.
-        """
-        from repro.core.parallel import PackShardRef
-
-        path, index = self._handle.reference()
-        return PackShardRef(path, index)
-
-    def ensure_verified(self) -> None:
-        """Verify the shard file's checksum without mapping it."""
-        self._handle.ensure_verified()
-
-
 class PackReader:
     """Lazily-mapped view of a ``repro-pack/1`` directory.
 
@@ -500,9 +450,9 @@ class PackReader:
 
     * :meth:`load_label` reads one label envelope (checksum-verified),
       touching zero shard files;
-    * :meth:`counter` / :meth:`shard_counter` return counters whose
-      shard files are verified and mapped only when a query first needs
-      them.
+    * :meth:`counter` / :meth:`shard_counter` return counters over
+      lazy row sources whose shard files are verified and mapped only
+      when a query first needs them.
 
     ``verify`` sets the checksum policy: ``"lazy"`` (default) hashes a
     file once when first touched, ``"eager"`` hashes every file right
@@ -571,8 +521,7 @@ class PackReader:
         self.stats = PackStats()
         self._verified: set[str] = set()
         self._labels_cache: dict[str, Any] = {}
-        self._counters: dict[int, PackedPatternCounter] = {}
-        self._merged: PatternCounter | ShardedPatternCounter | None = None
+        self._merged: PatternCounter | None = None
         # Cheap eager screens: every referenced file must exist with
         # exactly the byte size the manifest recorded.  Checksums wait
         # for first touch (hashing multi-GB shards would defeat lazy
@@ -590,8 +539,8 @@ class PackReader:
                     f"overgrown: {actual} bytes on disk, manifest records "
                     f"{entry['bytes']}"
                 )
-        self._handles = [
-            _ShardHandle(self, index, entry)
+        self._sources = [
+            _PackSource(self, index, entry)
             for index, entry in enumerate(shards)
         ]
         if verify == "eager":
@@ -620,7 +569,7 @@ class PackReader:
 
     @property
     def n_shards(self) -> int:
-        return len(self._handles)
+        return len(self._sources)
 
     @property
     def total_rows(self) -> int:
@@ -709,49 +658,38 @@ class PackReader:
 
     # -- counters ----------------------------------------------------------------
 
-    def shard_counter(self, index: int) -> PackedPatternCounter:
-        """The lazy counter of shard ``index`` (cached per reader)."""
-        if not 0 <= index < len(self._handles):
+    def shard_source(self, index: int) -> RowSource:
+        """The lazy row source of shard ``index`` (one per reader)."""
+        if not 0 <= index < len(self._sources):
             raise ArtifactError(
-                f"pack {self._path} has {len(self._handles)} shard(s); "
+                f"pack {self._path} has {len(self._sources)} shard(s); "
                 f"no shard {index}"
             )
-        counter = self._counters.get(index)
-        if counter is None:
-            counter = PackedPatternCounter(self._handles[index])
-            self._counters[index] = counter
-        return counter
+        return self._sources[index]
+
+    def shard_counter(self, index: int) -> PatternCounter:
+        """A counter over shard ``index`` alone (nothing read until
+        queried; the shard's tables are shared with :meth:`counter`)."""
+        return PatternCounter(self.shard_source(index))
 
     def counter(
         self,
         *,
         parallel: bool = False,
         max_workers: int | None = None,
-    ) -> PatternCounter | ShardedPatternCounter:
+    ) -> PatternCounter:
         """The pack's counting backend, in its natural shape.
 
-        One shard yields a :class:`PackedPatternCounter`; several yield
-        a :class:`~repro.core.sharding.ShardedPatternCounter` over lazy
-        per-shard counters.  Either way nothing is read until queried.
-        With ``parallel=True`` the sharded backend fans queries out to
-        its zero-copy worker pool — workers re-map this pack's shard
-        files directly (``max_workers`` caps the pool).  The backend is
-        cached per reader; the first call's options win.
+        One counter over every shard's lazy row source; nothing is read
+        until queried.  With ``parallel=True`` a multi-shard counter fans
+        queries out to its zero-copy worker pool — workers re-map this
+        pack's shard files directly (``max_workers`` caps the pool).
+        The backend is cached per reader; the first call's options win.
         """
         if self._merged is None:
-            counters = [
-                self.shard_counter(index)
-                for index in range(len(self._handles))
-            ]
-            if len(counters) == 1:
-                self._merged = counters[0]
-            else:
-                self._merged = ShardedPatternCounter.from_counters(
-                    counters,
-                    self._schema,
-                    parallel=parallel,
-                    max_workers=max_workers,
-                )
+            self._merged = PatternCounter(
+                self._sources, parallel=parallel, max_workers=max_workers
+            )
         return self._merged
 
 

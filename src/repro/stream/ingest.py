@@ -11,8 +11,8 @@ Every update batch goes through the same four steps, in order:
    :class:`~repro.stream.wal.WriteAheadLog` and fsynced.  From here on a
    crash replays it.
 3. **Count** — an insert batch becomes a new shard of the live
-   :class:`~repro.core.sharding.ShardedPatternCounter` via
-   ``add_shard`` (existing shard caches untouched).
+   :class:`~repro.core.counts.PatternCounter` via ``add_shard``
+   (existing shards' tables untouched).
 4. **Publish** — the maintained label replaces the served snapshot in
    one atomic swap through :class:`~repro.stream.publish.LabelPublisher`.
 
@@ -24,10 +24,10 @@ accumulate as many small shards, which slowly degrades merged-layer
 query constants; once the tail exceeds the configured policy
 (``compact_every`` shards and at least ``compact_min_rows`` rows), a
 background thread folds the tail shards into one counted base shard and
-swaps the rebuilt :class:`ShardedPatternCounter` in under the ingest
-lock — queries keep running against the old counter object until the
-swap, and the served label never changes at all.  With a ``pack_dir``
-configured, each compaction also checkpoints the counter and label to a
+swaps the rebuilt counter in under the ingest lock — queries keep
+running against the old counter object until the swap, and the served
+label never changes at all.  With a ``pack_dir`` configured, each
+compaction also checkpoints the counter and label to a
 :mod:`repro.persist` pack and truncates the WAL through the last
 checkpointed batch.
 
@@ -54,7 +54,6 @@ from repro.api.registry import StreamConfig
 from repro.core.counts import PatternCounter
 from repro.core.label import Label, build_label
 from repro.core.maintenance import apply_deletes, apply_inserts
-from repro.core.sharding import ShardedPatternCounter
 from repro.dataset.schema import Schema
 from repro.dataset.table import Dataset
 from repro.persist.pack import write_pack
@@ -148,7 +147,7 @@ class StreamIngestor:
         label: Label,
         *,
         wal: WriteAheadLog,
-        counter: PatternCounter | ShardedPatternCounter | None = None,
+        counter: PatternCounter | None = None,
         store: "LabelStore | None" = None,
         name: str = "label",
         config: StreamConfig | None = None,
@@ -163,7 +162,7 @@ class StreamIngestor:
         self._compact_lock = threading.Lock()
         self._compact_thread: threading.Thread | None = None
         self._label = label
-        self._counter = self._wrap_counter(counter)
+        self._counter = self._own_counter(counter)
         self._base_shards = (
             self._counter.n_shards if self._counter is not None else 0
         )
@@ -184,14 +183,13 @@ class StreamIngestor:
         self._publisher.publish(self._label)
 
     @staticmethod
-    def _wrap_counter(
-        counter: PatternCounter | ShardedPatternCounter | None,
-    ) -> ShardedPatternCounter | None:
-        if counter is None or isinstance(counter, ShardedPatternCounter):
+    def _own_counter(counter: PatternCounter | None) -> PatternCounter | None:
+        """The counter insert batches grow (``add_shard``): a single-shard
+        counter — typically the fit session's — is wrapped in a fresh
+        counter over the same source instead of being grown in place."""
+        if counter is None or counter.n_shards > 1:
             return counter
-        return ShardedPatternCounter.from_counters(
-            [counter], counter.dataset.schema
-        )
+        return PatternCounter(counter.sources)
 
     def _make_drift_monitor(self) -> DriftMonitor | None:
         config = self._config
@@ -254,7 +252,7 @@ class StreamIngestor:
         return self._publisher.store
 
     @property
-    def counter(self) -> ShardedPatternCounter | None:
+    def counter(self) -> PatternCounter | None:
         """The live counter (``None`` when detached or never attached)."""
         return self._counter
 
@@ -407,11 +405,11 @@ class StreamIngestor:
         counter = self._counter
         if config.compact_every is None or counter is None:
             return False
-        tail = counter.shard_counters[self._base_shards:]
+        tail = counter.sources[self._base_shards:]
         if len(tail) < config.compact_every:
             return False
         if config.compact_min_rows is not None:
-            tail_rows = sum(c.total_rows for c in tail)
+            tail_rows = sum(source.rows for source in tail)
             if tail_rows < config.compact_min_rows:
                 return False
         return True
@@ -445,24 +443,21 @@ class StreamIngestor:
             counter = self._counter
             if counter is None:
                 return
-            base = list(counter.shard_counters[: self._base_shards])
-            tail = list(counter.shard_counters[self._base_shards:])
+            base = list(counter.sources[: self._base_shards])
+            tail = list(counter.sources[self._base_shards:])
         if len(tail) < 2:
             return
         merged_rows = tail[0].dataset
         for shard in tail[1:]:
             merged_rows = merged_rows.concat(shard.dataset)
-        merged = PatternCounter(merged_rows)
         with self._lock:
             counter = self._counter
             if counter is None:
                 return
             # Batches that landed while we were counting stay as extra
             # tail shards; the next compaction folds them.
-            extras = list(counter.shard_counters[len(base) + len(tail):])
-            rebuilt = ShardedPatternCounter.from_counters(
-                base + [merged] + extras, counter.schema
-            )
+            extras = list(counter.sources[len(base) + len(tail):])
+            rebuilt = PatternCounter(base + [merged_rows] + extras)
             self._counter = rebuilt
             self._base_shards = len(base) + 1
             self.compactions += 1

@@ -8,7 +8,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import Dataset, Pattern, PatternCounter, build_label
+from repro import (
+    Dataset,
+    Pattern,
+    PatternCounter,
+    ShardedPatternCounter,
+    build_label,
+)
 from repro.api import (
     RegistryError,
     estimate_many,
@@ -143,6 +149,20 @@ class TestEstimatorRegistry:
         label = build_label(PatternCounter(synthetic), ["a"])
         with pytest.raises(RegistryError, match="must be built from a dataset"):
             make_estimator("sampling", label)
+
+    @pytest.mark.parametrize(
+        "name", ("independence", "sampling", "dephist", "postgres")
+    )
+    def test_raw_row_backends_reject_multi_shard_counters(
+        self, figure2, name
+    ):
+        sharded = ShardedPatternCounter.from_dataset(figure2, 3)
+        with pytest.raises(RegistryError, match="raw row access"):
+            make_estimator(name, sharded)
+        # A dataset and a single-shard counter still carry raw rows.
+        for source in (figure2, ShardedPatternCounter.from_dataset(figure2, 1)):
+            estimator = make_estimator(name, source)
+            assert estimator.estimate(Pattern({"gender": "Female"})) >= 0.0
 
     def test_label_factory_uses_strategy_registry(self, synthetic):
         estimator = make_estimator(

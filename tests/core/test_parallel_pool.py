@@ -89,7 +89,7 @@ class TestPoolConstruction:
     def test_max_workers_clamped_to_shard_count(self, data):
         sharded = ShardedPatternCounter.from_dataset(data, 3)
         pool = ShardWorkerPool(
-            list(sharded.shard_counters), data.schema, max_workers=64
+            list(sharded.sources), data.schema, max_workers=64
         )
         try:
             assert pool.max_workers == 3
@@ -100,7 +100,7 @@ class TestPoolConstruction:
     def test_max_workers_floor_is_one(self, data):
         sharded = ShardedPatternCounter.from_dataset(data, 2)
         pool = ShardWorkerPool(
-            list(sharded.shard_counters), data.schema, max_workers=0
+            list(sharded.sources), data.schema, max_workers=0
         )
         try:
             assert pool.max_workers == 1
@@ -109,7 +109,7 @@ class TestPoolConstruction:
 
     def test_in_memory_shards_export_shared_blocks(self, data):
         sharded = ShardedPatternCounter.from_dataset(data, 2)
-        pool = ShardWorkerPool(list(sharded.shard_counters), data.schema)
+        pool = ShardWorkerPool(list(sharded.sources), data.schema)
         names = [
             ref.name for ref in pool._refs if isinstance(ref, ShmShardRef)
         ]
@@ -121,14 +121,14 @@ class TestPoolConstruction:
 
     def test_close_is_idempotent(self, data):
         sharded = ShardedPatternCounter.from_dataset(data, 2)
-        pool = ShardWorkerPool(list(sharded.shard_counters), data.schema)
+        pool = ShardWorkerPool(list(sharded.sources), data.schema)
         pool.close()
         pool.close()
 
     def test_chunk_count_targets_a_few_tasks_per_worker(self, data):
         sharded = ShardedPatternCounter.from_dataset(data, 2)
         pool = ShardWorkerPool(
-            list(sharded.shard_counters), data.schema, max_workers=2
+            list(sharded.sources), data.schema, max_workers=2
         )
         try:
             assert pool.chunk_count(1) == 1
@@ -247,7 +247,7 @@ class TestPoolLifecycle:
     def test_unknown_method_raises_from_pool(self, data):
         sharded = ShardedPatternCounter.from_dataset(data, 2)
         pool = ShardWorkerPool(
-            list(sharded.shard_counters), data.schema, max_workers=1
+            list(sharded.sources), data.schema, max_workers=1
         )
         try:
             with pytest.raises(ValueError, match="unknown shard task"):
@@ -268,7 +268,7 @@ class TestPackBackedRefs:
         pack_dir = write_pack(tmp_path / "pack", base)
         reopened = ShardedPatternCounter.from_pack(pack_dir)
         pool = ShardWorkerPool(
-            list(reopened.shard_counters), reopened.schema
+            list(reopened.sources), reopened.schema
         )
         try:
             assert all(

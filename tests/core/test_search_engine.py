@@ -168,26 +168,6 @@ class TestFindOptimalLabelRegistry:
 
 
 class TestSizingKernel:
-    def test_driver_falls_back_without_kernel(self, figure2):
-        """Minimal third-party counter-likes (no ``label_size_many``)
-        still work through the scalar loop."""
-
-        class MinimalCounter:
-            def __init__(self, counter):
-                self._counter = counter
-
-            def __getattr__(self, name):
-                if name == "label_size_many":
-                    raise AttributeError(name)
-                return getattr(self._counter, name)
-
-        counter = MinimalCounter(PatternCounter(figure2))
-        assert getattr(counter, "label_size_many", None) is None
-        result = top_down_search(counter, 5)
-        reference = top_down_search(figure2, 5)
-        assert result.attributes == reference.attributes
-        assert result.label.to_json() == reference.label.to_json()
-
     def test_size_many_counts_and_filters(self, figure2):
         counter = PatternCounter(figure2)
         driver = SearchDriver(counter, bound=5)
@@ -229,13 +209,12 @@ class TestSizingKernel:
         counter = PatternCounter(bluenile_small)
         names = bluenile_small.attribute_names
         counter.label_size_many([(names[0], names[1])])
-        frozen = counter._columns64[names[0]][0].copy()
+        columns = counter.sources[0]._columns64
+        frozen = columns[names[0]][0].copy()
         counter.label_size_many(
             [(names[0],), (names[0], names[2]), (names[0], names[1])]
         )
-        np.testing.assert_array_equal(
-            counter._columns64[names[0]][0], frozen
-        )
+        np.testing.assert_array_equal(columns[names[0]][0], frozen)
 
     def test_distinct_keys_merge_is_exact(self, bluenile_small):
         subset = bluenile_small.attribute_names[:2]

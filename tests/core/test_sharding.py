@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import Dataset, Pattern, PatternCounter, build_label
-from repro.core.counts import as_counter, is_counter_like
 from repro.core.sharding import (
     ShardedPatternCounter,
     make_counter,
@@ -51,10 +50,10 @@ class TestConstruction:
             ShardedPatternCounter.from_dataset(figure2, 0)
 
     def test_is_counter_like(self, sharded, figure2):
-        assert is_counter_like(sharded)
-        assert is_counter_like(PatternCounter(figure2))
-        assert not is_counter_like(figure2)
-        assert as_counter(sharded) is sharded
+        # One counter class serves every shard count.
+        assert ShardedPatternCounter is PatternCounter
+        assert make_counter(sharded) is sharded
+        assert make_counter(figure2).n_shards == 1
 
 
 class TestDatasetView:
@@ -73,8 +72,11 @@ class TestDatasetView:
             figure2.n_rows - 1
         )
         assert list(view.iter_rows()) == list(figure2.iter_rows())
-        with pytest.raises(IndexError):
-            view.row(figure2.n_rows)
+        assert view.row(-1) == figure2.row(figure2.n_rows - 1)
+        assert view.row(-figure2.n_rows) == figure2.row(0)
+        for index in (figure2.n_rows, -figure2.n_rows - 1):
+            with pytest.raises(IndexError, match="out of range"):
+                view.row(index)
 
     def test_non_missing_mask_concatenates(self, sharded, figure2):
         np.testing.assert_array_equal(

@@ -18,6 +18,7 @@ Three contracts under test:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from repro import (
     write_pack,
 )
 from repro.api.errors import ArtifactError, SessionError
-from repro.persist.pack import MANIFEST_NAME, PackedPatternCounter
+from repro.persist.pack import MANIFEST_NAME
 from repro.serve.protocol import BadRequestError, UnsupportedOperationError
 from repro.serve.store import LabelStore
 
@@ -112,10 +113,9 @@ class TestRoundTrip:
         )
 
     def test_from_pack_shape_mismatch(self, tmp_path, figure2_counter, sharded):
+        # from_pack opens any shard count in the pack's natural shape.
         multi = sharded.dump(tmp_path / "multi")
-        with pytest.raises(ValueError, match="3 shards"):
-            PatternCounter.from_pack(multi)
-        # The sharded opener accepts any shard count, including one.
+        assert PatternCounter.from_pack(multi).n_shards == 3
         single = figure2_counter.dump(tmp_path / "single")
         assert ShardedPatternCounter.from_pack(single).n_shards == 1
 
@@ -141,6 +141,69 @@ class TestRoundTrip:
     def test_write_pack_rejects_non_counters(self, tmp_path):
         with pytest.raises(ArtifactError, match="cannot pack"):
             write_pack(tmp_path / "pack", object())
+
+
+# -- compatibility -------------------------------------------------------------
+
+#: A K=2 figure2 pack with warm caches, written by the pack writer of an
+#: earlier version: each shard file still carries per-row ``row_keys``
+#: arrays, a role the reader now accepts and ignores.
+ROW_KEYS_PACK = Path(__file__).parent / "fixtures" / "figure2-k2-row-keys"
+
+
+def _roles(pack_dir) -> set[str]:
+    manifest = json.loads((Path(pack_dir) / MANIFEST_NAME).read_text())
+    return {
+        array["role"]
+        for shard in manifest["shards"]
+        for array in shard["arrays"]
+    }
+
+
+class TestCompatibility:
+    def test_row_keys_pack_answers_like_the_fitted_counter(self, figure2):
+        assert "row_keys" in _roles(ROW_KEYS_PACK)
+        assert verify_pack(ROW_KEYS_PACK)["shards"] == 2
+        reader = open_pack(ROW_KEYS_PACK)
+        counter = reader.counter()
+        reference = PatternCounter(figure2)
+        patterns = PATTERNS + [
+            Pattern({"gender": "Male", "race": {">=": "Caucasian"}})
+        ]
+        for _ in range(2):  # first batch and the promoted repeat
+            np.testing.assert_array_equal(
+                counter.count_many(patterns), reference.count_many(patterns)
+            )
+        for attrs in (
+            ("gender", "race"),
+            ("age group", "marital status"),
+            ("race",),
+        ):
+            combos, counts = counter.joint_table(attrs)
+            expected_combos, expected_counts = reference.joint_table(attrs)
+            np.testing.assert_array_equal(combos, expected_combos)
+            np.testing.assert_array_equal(counts, expected_counts)
+        label = reader.load_label("figure2")
+        assert label.to_dict() == build_label(
+            reference, label.attributes
+        ).to_dict()
+        assert build_label(counter, label.attributes).to_dict() == (
+            label.to_dict()
+        )
+
+    @pytest.mark.parametrize("k", (1, 3))
+    def test_redump_writes_identical_shard_files(self, tmp_path, figure2, k):
+        counter = ShardedPatternCounter.from_dataset(figure2, k)
+        for _ in range(2):  # the repeat batch promotes key tables
+            counter.count_many(PATTERNS)
+        counter.joint_tables([("gender", "race"), ("race",)])
+        first = write_pack(tmp_path / "first", counter)
+        assert {"codes", "key_keys", "joint_combos"} <= _roles(first)
+        assert "row_keys" not in _roles(first)
+        second = write_pack(tmp_path / "second", open_pack(first).counter())
+        for index in range(k):
+            name = f"shard-{index:04d}.bin"
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 # -- laziness ------------------------------------------------------------------
@@ -172,10 +235,10 @@ class TestLaziness:
         # The acceptance assertion: query one shard of a 3-shard pack
         # and exactly that shard's file is read.
         reader = open_pack(pack_dir)
-        counter = reader.shard_counter(0)
-        assert not counter.loaded
-        counter.count(PATTERNS[0])
-        assert counter.loaded
+        source = reader.shard_source(0)
+        assert not source.loaded
+        reader.shard_counter(0).count(PATTERNS[0])
+        assert source.loaded
         assert reader.stats.shard_loads == ["shard-0000.bin"]
 
     def test_merged_query_loads_each_shard_once(self, pack_dir):
@@ -469,19 +532,19 @@ class TestVerifyModes:
 
     def test_ensure_verified_hashes_one_shard_once(self, pack_dir):
         reader = open_pack(pack_dir)
-        counter = reader.shard_counter(0)
-        ref = counter.pack_shard_ref
+        source = reader.shard_source(0)
+        ref = source.pack_shard_ref
         assert ref is not None
         assert ref.path == str(reader.path) and ref.index == 0
-        counter.ensure_verified()
+        source.ensure_verified()
         after = reader.stats.bytes_verified
         assert after > 0
-        counter.ensure_verified()  # idempotent — hashed exactly once
+        source.ensure_verified()  # idempotent — hashed exactly once
         assert reader.stats.bytes_verified == after
 
     def test_ensure_verified_honors_skip(self, pack_dir):
         reader = open_pack(pack_dir, verify="skip")
-        reader.shard_counter(0).ensure_verified()
+        reader.shard_source(0).ensure_verified()
         assert reader.stats.bytes_verified == 0
 
     def test_pool_build_verifies_parent_side_once(self, pack_dir):
@@ -497,7 +560,7 @@ class TestVerifyModes:
         reader = open_pack(pack_dir)
         counter = reader.counter()
         pool = ShardWorkerPool(
-            list(counter.shard_counters), counter.schema
+            list(counter.sources), counter.schema
         )
         try:
             assert all(
@@ -506,7 +569,7 @@ class TestVerifyModes:
             assert reader.stats.bytes_verified == shard_bytes
             # A second pool over the same reader re-hashes nothing.
             second = ShardWorkerPool(
-                list(counter.shard_counters), counter.schema
+                list(counter.sources), counter.schema
             )
             second.close()
             assert reader.stats.bytes_verified == shard_bytes

@@ -316,7 +316,7 @@ def test_range_counts_survive_radix_overflow_pool(tmp_path):
         # took the per-shard pool path.
         overflow_sets = [
             attrs
-            for attrs, table in sharded._merged_key_tables.items()
+            for attrs, table in sharded._key_tables.items()
             if table is None
         ]
         assert overflow_sets, "expected a radix-overflow attribute set"
