@@ -744,6 +744,76 @@ def _fmt_rows(rows: int) -> str:
     return str(rows)
 
 
+def _parallel_scale_scenarios(
+    label: str,
+    dataset,
+    workload,
+    n_shards: int,
+    rounds: int,
+    bound: int,
+) -> dict[str, dict]:
+    """Sharded serial vs sharded ``parallel=True``, both from cold.
+
+    Every round builds a fresh counter — warm merged tables would answer
+    without touching the thread pool — and closes it afterwards.
+    ``count_many`` answers the workload once; the fit runs
+    ``top_down_search``.  Parity (counts; the fit's max error and
+    winning subset) is asserted before timing.
+    """
+    patterns = [workload.pattern(i) for i in range(len(workload))]
+    names = list(dataset.attribute_names)
+    workers = max(1, min(os.cpu_count() or 1, n_shards))
+    detail = {
+        "rows": dataset.n_rows,
+        "queries": len(patterns),
+        "shards": n_shards,
+        "max_workers": workers,
+    }
+
+    def counter(parallel: bool):
+        return ShardedPatternCounter.from_dataset(
+            dataset, n_shards, parallel=parallel
+        )
+
+    def count_many(parallel: bool) -> Callable[[], np.ndarray]:
+        def run() -> np.ndarray:
+            with counter(parallel) as fresh:
+                return fresh.count_many(patterns)
+
+        return run
+
+    def fit(parallel: bool) -> Callable[[], list[float]]:
+        def run() -> list[float]:
+            with counter(parallel) as fresh:
+                result = top_down_search(fresh, bound, pattern_set=workload)
+            return [result.summary.max_abs] + [
+                names.index(a) for a in result.attributes
+            ]
+
+        return run
+
+    return {
+        f"scale_count_many_parallel/{label}": _scenario(
+            f"scale_count_many_parallel/{label}",
+            count_many(False),
+            count_many(True),
+            rounds,
+            detail,
+            a_key="serial_median_s",
+            b_key="parallel_median_s",
+        ),
+        f"scale_fit_parallel/{label}": _scenario(
+            f"scale_fit_parallel/{label}",
+            fit(False),
+            fit(True),
+            rounds,
+            {**detail, "bound": bound},
+            a_key="serial_median_s",
+            b_key="parallel_median_s",
+        ),
+    }
+
+
 def run_scale(
     tiers: list[int], queries: int, rounds: int, bound: int
 ) -> dict:
@@ -760,8 +830,10 @@ def run_scale(
     caches survive; only the merged layer and the new shard are paid
     for).  Parity is asserted on every scenario before timing; the
     ``cpu_count`` recorded in the config keys the parallel-path numbers
-    (zero-copy workers cannot beat serial on a single core — the pool's
-    win is core-bound, the refresh win is algorithmic).
+    (a thread pool cannot beat serial on a single core — the pool's win
+    is core-bound, the refresh win is algorithmic).  Every tier also
+    times the 8-shard counter serially against ``parallel=True`` (see
+    :func:`_parallel_scale_scenarios`).
     """
     print(
         f"bench_report --scale: tiers={tiers} queries={queries} "
@@ -814,6 +886,11 @@ def run_scale(
              "shards": n_shards},
             a_key="single_median_s",
             b_key="sharded_median_s",
+        )
+        scenarios.update(
+            _parallel_scale_scenarios(
+                label, dataset, workload, n_shards, rounds, bound
+            )
         )
 
     # Incremental refresh at the top tier: the update path is where the
@@ -901,9 +978,10 @@ def run_scale(
     warnings: list[str] = []
     if cpu_count == 1:
         warnings.append(
-            "single-CPU host (cpu_count == 1): the parallel worker pool "
-            "cannot beat the serial path on one core — sharded/parallel "
-            "speedup columns in this report are not representative"
+            "single-CPU host (cpu_count == 1): the parallel=True thread "
+            "pool cannot beat the serial path on one core — the "
+            "*_parallel speedup columns in this report are not "
+            "representative"
         )
     for message in warnings:
         print(f"WARNING: {message}")
@@ -919,7 +997,9 @@ def run_scale(
         "methodology": (
             "median wall time over N rounds per path; parity asserted "
             "before timing; scale_update_refresh models an insert batch "
-            "against a warm sharded deployment vs a monolithic recount"
+            "against a warm sharded deployment vs a monolithic recount; "
+            "the *_parallel scenarios build a fresh 8-shard counter per "
+            "round, serial vs parallel=True"
         ),
         "config": {
             "tiers": tiers,
@@ -950,8 +1030,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         action="store_true",
-        help="run the production-scale single-vs-sharded tier instead "
-        f"of the core scenarios (writes {SCALE_OUTPUT.name})",
+        help="run the production-scale single-vs-sharded and "
+        "serial-vs-parallel tier instead of the core scenarios (writes "
+        f"{SCALE_OUTPUT.name})",
     )
     parser.add_argument(
         "--tiers",

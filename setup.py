@@ -1,10 +1,10 @@
-"""Legacy setup shim.
+"""Package metadata, kept in a plain setuptools script.
 
-The reproduction environment is offline and lacks the ``wheel`` package,
-so PEP 517 editable installs (`pip install -e .` with a build-system
-table) cannot build an editable wheel.  This shim lets pip fall back to
+Without the ``wheel`` package, PEP 517 editable installs
+(`pip install -e .` with a build-system table) cannot build an editable
+wheel, so the repository has no ``pyproject.toml``: pip falls back to
 the legacy ``setup.py develop`` code path, which needs only setuptools.
-All real metadata lives in ``pyproject.toml``.
+All the package metadata lives here.
 """
 
 from setuptools import find_packages, setup

@@ -147,11 +147,12 @@ class LabelingSession:
             source's natural shape — a plain counter for a dataset, one
             shard per chunk for a stream.
         parallel:
-            Fan per-shard queries out to a persistent pool of zero-copy
-            workers (see :class:`repro.core.parallel.ShardWorkerPool`);
-            ignored for single-shard counters.
+            Run per-shard table builds on the counter's thread pool, one
+            task per shard (see :class:`~repro.core.counts.PatternCounter`);
+            ignored for single-shard counters.  The label and a pack
+            written afterwards are byte-identical to a serial fit's.
         max_workers:
-            Worker-pool size cap, clamped to the shard count.
+            Thread-pool size cap, clamped to the shard count.
         """
         resolved = make_strategy(strategy, **strategy_options)
         source = make_counter(
@@ -209,9 +210,8 @@ class LabelingSession:
         only label) — touching no shard payloads — and wires
         :attr:`counter` to resolve the packed backend on demand.
         ``parallel``/``max_workers`` configure the resolved backend's
-        zero-copy worker pool (multi-shard packs only); ``verify`` is
-        the reader's checksum policy (see
-        :func:`repro.persist.pack.open_pack`).
+        thread pool (multi-shard packs only); ``verify`` is the reader's
+        checksum policy (see :func:`repro.persist.pack.open_pack`).
         """
         from repro.persist.pack import open_pack
 

@@ -197,7 +197,7 @@ def _validate_fit_flags(args: argparse.Namespace) -> None:
         _fail(
             f"--chunk-rows must be >= 1, got {args.chunk_rows}", EXIT_USAGE
         )
-    if getattr(args, "max_workers", None) is not None and args.max_workers < 1:
+    if args.max_workers is not None and args.max_workers < 1:
         _fail(
             f"--max-workers must be >= 1, got {args.max_workers}", EXIT_USAGE
         )
@@ -241,8 +241,8 @@ def _fit_session(args: argparse.Namespace, path: str) -> LabelingSession:
             args.bound,
             strategy=getattr(args, "algorithm", "top_down"),
             shards=args.shards,
-            parallel=getattr(args, "parallel", False),
-            max_workers=getattr(args, "max_workers", None),
+            parallel=args.parallel,
+            max_workers=args.max_workers,
             **_strategy_options(args),
         )
     except ApiError:
@@ -795,17 +795,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    label = commands.add_parser(
-        "label", help="find the optimal label for a CSV file"
-    )
-    label.add_argument("csv", help="input CSV file (header row required)")
-    label.add_argument(
+    # Flags shared by every command that fits a label (for estimate:
+    # with --fit-csv), declared once as argparse parent parsers.
+    fit_flags = argparse.ArgumentParser(add_help=False)
+    fit_flags.add_argument(
         "--bound", type=int, default=50, help="size budget Bs (default 50)"
     )
+    fit_flags.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        help="count through the sharded backend with N shards (one "
+        "binary file per shard in a pack); unset keeps the natural "
+        "shape (monolithic, or one shard per chunk with --chunk-rows); "
+        "an explicit 1 forces monolithic counting",
+    )
+    fit_flags.add_argument(
+        "--chunk-rows",
+        type=int,
+        default=None,
+        help="stream the CSV in chunks of N rows (each chunk becomes a "
+        "shard) instead of parsing it whole",
+    )
+    fit_flags.add_argument(
+        "--parallel",
+        action="store_true",
+        help="build per-shard tables on a thread pool, one task per "
+        "shard (needs 2+ shards; the output is identical to a serial fit)",
+    )
+    fit_flags.add_argument(
+        "--max-workers",
+        type=int,
+        default=None,
+        help="thread-pool size cap for --parallel (clamped to the "
+        "shard count; default: one thread per CPU core)",
+    )
+    search_flags = argparse.ArgumentParser(add_help=False)
     strategies = sorted(
         set(registered_strategies()) | {"top-down"}  # legacy spelling
     )
-    label.add_argument(
+    search_flags.add_argument(
         "--algorithm",
         "--strategy",
         dest="algorithm",
@@ -813,42 +842,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="top_down",
         help="label-construction strategy (default: top_down, Algorithm 1)",
     )
-    label.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="count through the sharded backend with N shards; unset "
-        "keeps the natural shape (monolithic, or one shard per chunk "
-        "with --chunk-rows); an explicit 1 forces monolithic counting",
-    )
-    label.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=None,
-        help="stream the CSV in chunks of N rows (each chunk becomes a "
-        "shard) instead of parsing it whole",
-    )
-    label.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan per-shard queries out to a persistent pool of "
-        "zero-copy worker processes (needs 2+ shards)",
-    )
-    label.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="worker-pool size cap for --parallel (clamped to the "
-        "shard count; default: one worker per CPU core)",
-    )
-    label.add_argument(
+    search_flags.add_argument(
         "--beam-width",
         type=int,
         default=None,
         help="frontier width for --algorithm beam (unset = unlimited, "
         "i.e. exhaustive)",
     )
-    label.add_argument(
+    search_flags.add_argument(
         "--time-limit",
         type=float,
         default=None,
@@ -857,6 +858,13 @@ def build_parser() -> argparse.ArgumentParser:
         "with a clean timeout, --algorithm anytime returns the best "
         "label found so far",
     )
+
+    label = commands.add_parser(
+        "label",
+        parents=[fit_flags, search_flags],
+        help="find the optimal label for a CSV file",
+    )
+    label.add_argument("csv", help="input CSV file (header row required)")
     label.add_argument(
         "--envelope",
         action="store_true",
@@ -885,7 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
     card.set_defaults(func=_cmd_card)
 
     estimate = commands.add_parser(
-        "estimate", help="estimate a pattern count from a label"
+        "estimate",
+        parents=[fit_flags],
+        help="estimate a pattern count from a label",
     )
     estimate.add_argument(
         "label",
@@ -907,37 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(one-shot producer mode, no saved label needed)",
     )
     estimate.add_argument(
-        "--bound",
-        type=int,
-        default=50,
-        help="size budget for --fit-csv (default 50)",
-    )
-    estimate.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count for --fit-csv counting (unset = natural shape)",
-    )
-    estimate.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=None,
-        help="stream the --fit-csv file in chunks of N rows",
-    )
-    estimate.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan per-shard queries out to a persistent pool of "
-        "zero-copy worker processes (needs 2+ shards)",
-    )
-    estimate.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="worker-pool size cap for --parallel (clamped to the "
-        "shard count; default: one worker per CPU core)",
-    )
-    estimate.add_argument(
         "--json",
         action="store_true",
         help='machine-readable output: {"estimates": [...]} (single '
@@ -947,6 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pack = commands.add_parser(
         "pack",
+        parents=[fit_flags, search_flags],
         help="fit a label and write a memory-mappable warm-start pack "
         "directory (repro-pack/1)",
     )
@@ -956,56 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         required=True,
         help="pack directory to write (created if missing)",
-    )
-    pack.add_argument(
-        "--bound", type=int, default=50, help="size budget Bs (default 50)"
-    )
-    pack.add_argument(
-        "--algorithm",
-        "--strategy",
-        dest="algorithm",
-        choices=strategies,
-        default="top_down",
-        help="label-construction strategy (default: top_down)",
-    )
-    pack.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard count — one binary file per shard in the pack "
-        "(unset = natural shape)",
-    )
-    pack.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=None,
-        help="stream the CSV in chunks of N rows while fitting",
-    )
-    pack.add_argument(
-        "--parallel",
-        action="store_true",
-        help="fan per-shard queries out to a persistent pool of "
-        "zero-copy worker processes (needs 2+ shards)",
-    )
-    pack.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="worker-pool size cap for --parallel (clamped to the "
-        "shard count; default: one worker per CPU core)",
-    )
-    pack.add_argument(
-        "--beam-width",
-        type=int,
-        default=None,
-        help="frontier width for --algorithm beam",
-    )
-    pack.add_argument(
-        "--time-limit",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget for the search",
     )
     pack.add_argument(
         "--name",

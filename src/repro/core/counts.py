@@ -2,14 +2,14 @@
 
 :class:`PatternCounter` answers the count queries the labeling machinery
 needs over an ordered list of K >= 1 *row sources* (:class:`RowSource`):
-an in-memory :class:`~repro.dataset.table.Dataset`, a shared-memory block
-a pool worker attaches, or a pack shard mapped on first touch
-(:mod:`repro.persist.pack`).  Every answer is additive or union-stable
-over a row partition — ``c_{D1 ∪ D2}(p) = c_{D1}(p) + c_{D2}(p)``, joint
-and key tables merge by summing the counts of equal keys, and ``|P_S|``
-is the size of the union of the per-source distinct sets — so a counter
-over K sources answers exactly as one over their concatenation, and
-K = 1 is the plain single-dataset counter:
+an in-memory :class:`~repro.dataset.table.Dataset` or a pack shard mapped
+on first touch (:mod:`repro.persist.pack`).  Every answer is additive or
+union-stable over a row partition —
+``c_{D1 ∪ D2}(p) = c_{D1}(p) + c_{D2}(p)``, joint and key tables merge by
+summing the counts of equal keys, and ``|P_S|`` is the size of the union
+of the per-source distinct sets — so a counter over K sources answers
+exactly as one over their concatenation, and K = 1 is the plain
+single-dataset counter:
 
 * :meth:`PatternCounter.count` — the exact count ``c_D(p)`` of one pattern
   (Definition 2.3), by vectorized mask intersection — the *scalar
@@ -39,7 +39,9 @@ Caching happens on two levels.  Each source caches the tables built over
 its own rows (``int64`` columns, key tables, joint tables, value counts),
 so a counter that gains a shard (:meth:`PatternCounter.add_shard`, the
 incremental insert path) builds tables for the new rows only; the counter
-caches the merged answers (plus fractions and label sizes).  Sources are
+caches the merged answers (plus fractions and label sizes).  With
+``parallel=True`` the per-source builds run on a thread pool the counter
+owns, one task per source, and merge in the calling thread.  Sources are
 immutable; to profile a new snapshot of evolving data, call
 :meth:`PatternCounter.rebind`, which swaps the rows *and* drops every
 cache — see :meth:`PatternCounter.invalidate_caches`.
@@ -48,6 +50,7 @@ cache — see :meth:`PatternCounter.invalidate_caches`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -291,18 +294,12 @@ class KeyTable:
 class RowSource:
     """One shard of a counter's rows, plus the tables built over them.
 
-    The base class holds an in-memory :class:`~repro.dataset.table.Dataset`
-    (a shared-memory block a pool worker attaches is one, too); the pack
-    reader's sources (:mod:`repro.persist.pack`) map a shard file on
-    first touch and adopt its persisted key and joint tables.  Cached
-    arrays are treated as immutable — mapped and computed entries are
-    interchangeable — and :meth:`clear` drops them all.
+    The base class holds an in-memory :class:`~repro.dataset.table.Dataset`;
+    the pack reader's sources (:mod:`repro.persist.pack`) map a shard
+    file on first touch and adopt its persisted key and joint tables.
+    Cached arrays are treated as immutable — mapped and computed entries
+    are interchangeable — and :meth:`clear` drops them all.
     """
-
-    #: Zero-copy worker address of a pack-backed source
-    #: (:class:`repro.core.parallel.PackShardRef`); ``None`` for
-    #: in-memory sources, which a worker pool exports to shared memory.
-    pack_shard_ref = None
 
     def __init__(self, dataset: Dataset | None) -> None:
         # None: a subclass that maps its rows on first access.
@@ -563,19 +560,19 @@ class PatternCounter:
         chunks of :func:`~repro.dataset.csvio.read_csv_chunks`.  Use
         :meth:`from_dataset` to partition one dataset into K shards.
     parallel:
-        Run per-source table builds on a persistent pool of zero-copy
-        workers (:class:`repro.core.parallel.ShardWorkerPool`): spawned
-        lazily on the first parallel query, reused across
-        ``count_many`` / ``joint_tables`` / ``label_size_many`` / fit,
-        shut down via :meth:`close` (or the context manager) and
-        re-created after a crashed worker.  Tasks ship source
-        *references*, not data — pack-backed sources are re-mapped
-        read-only in each worker, in-memory ones are exported once to
-        shared memory.  Merging always happens in the calling process,
+        Run per-source table builds on a thread pool the counter owns:
+        one task per source, each running that source's calls in order
+        (numpy releases the GIL inside the sorts, bincounts and hashes
+        that dominate them).  The pool is created on the first parallel
+        query, reused across ``count_many`` / ``joint_tables`` /
+        ``label_size_many`` / fit and shut down via :meth:`close` (or
+        the context manager).  The per-source tables stay in the
+        counter's own sources, merging happens in the calling thread,
         and K = 1 counters ignore the flag.
     max_workers:
-        Pool size cap, clamped to ``min(max_workers, n_shards)``
-        (default: ``min(n_shards, os.cpu_count())``).
+        Pool size cap, clamped to ``min(max_workers, n_shards)`` when
+        the pool is created (default: ``min(n_shards,
+        os.cpu_count())``).
     """
 
     def __init__(
@@ -608,7 +605,7 @@ class PatternCounter:
         self._schema = sources[0].schema
         self._parallel = bool(parallel)
         self._max_workers = max_workers
-        self._pool = None  # ShardWorkerPool, created lazily
+        self._executor = None  # ThreadPoolExecutor, created lazily
         self._view = None  # ShardedDatasetView, created lazily (K > 1)
         self._drop_merged_caches()
 
@@ -787,107 +784,68 @@ class PatternCounter:
         # attribute set -> equality batches seen (a single source answers
         # its first batch without building the key table).
         self._key_queries: dict[tuple[str, ...], int] = {}
-        # The pool's source references are frozen at pool build, so a
-        # shard change retires it; the next parallel query re-creates it
-        # over the new shard set.
-        self._shutdown_pool()
 
-    # -- worker pool ---------------------------------------------------------------
+    # -- thread pool ---------------------------------------------------------------
 
-    def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.close()
+    def _get_executor(self):
+        """The counter's thread pool, created on the first parallel query
+        (so building a counter never imports :mod:`concurrent.futures`)."""
+        if self._executor is None:
+            from concurrent.futures import ThreadPoolExecutor
 
-    def _parallel_active(self) -> bool:
-        """Parallel dispatch applies only with 2+ sources — a K = 1
-        counter has nothing to fan out, so it never pays pool spawn cost."""
-        return self._parallel and len(self._sources) > 1
-
-    def _get_pool(self):
-        """The persistent worker pool, created lazily on first use.
-
-        One pool per counter: workers are expensive to spawn, and once
-        up they hold warm per-source tables (pack mmaps or attached
-        shared-memory views), so reuse across query batches is where the
-        parallel path wins.
-        """
-        if self._pool is None:
-            from repro.core.parallel import ShardWorkerPool
-
-            self._pool = ShardWorkerPool(
-                self._sources, self._schema, max_workers=self._max_workers
+            requested = (
+                self._max_workers
+                if self._max_workers is not None
+                else os.cpu_count() or 1
             )
-        return self._pool
-
-    def _run_parallel(self, tasks: Sequence[tuple[int, str, object]]):
-        """Dispatch tasks to the pool; retire it if the batch fails.
-
-        The ``finally`` guarantees a mid-flight failure (worker crash
-        past its retry, cancelled build, pickling error) never leaks the
-        executor or the shared-memory exports — the next parallel query
-        starts from a fresh pool.
-        """
-        failed = True
-        try:
-            results = self._get_pool().run_shard_tasks(tasks)
-            failed = False
-            return results
-        finally:
-            if failed:
-                self._shutdown_pool()
+            self._executor = ThreadPoolExecutor(
+                max_workers=max(1, min(int(requested), len(self._sources))),
+                thread_name_prefix="repro-shard",
+            )
+        return self._executor
 
     def _per_source(self, method: str, calls: Sequence[tuple]) -> list[list]:
         """``source.method(*args)`` for every source and every ``args`` in
         ``calls``: one result list per source, aligned with ``calls``.
 
-        With the pool active the calls are split into M chunks so that
-        K sources x M chunks tasks keep every worker busy even when
-        sources are skewed; otherwise they run in process.
+        With ``parallel=True`` and K > 1 each source's calls run as one
+        task on the counter's thread pool; otherwise they run in the
+        calling thread.  An exception raised by any call reaches the
+        caller once every task has finished, so no task outlives the
+        query that started it.
         """
-        if not calls or not self._parallel_active():
+        if not calls or not self._parallel or len(self._sources) == 1:
             return [
                 [getattr(source, method)(*args) for args in calls]
                 for source in self._sources
             ]
-        from repro.core.parallel import chunk_bounds
+        from concurrent.futures import wait
 
-        pool = self._get_pool()
-        chunks = chunk_bounds(len(calls), pool.chunk_count(len(calls)))
-        results = iter(
-            self._run_parallel(
-                [
-                    (index, method, calls[start:stop])
-                    for index in range(len(self._sources))
-                    for start, stop in chunks
-                ]
-            )
-        )
-        return [
-            [item for _ in chunks for item in next(results)]
-            for _ in self._sources
-        ]
+        def run(source: RowSource) -> list:
+            call = getattr(source, method)
+            return [call(*args) for args in calls]
+
+        executor = self._get_executor()
+        futures = [executor.submit(run, source) for source in self._sources]
+        wait(futures)
+        return [future.result() for future in futures]
 
     def close(self) -> None:
-        """Shut the worker pool down and release its shared memory.
+        """Shut the thread pool down.
 
         Idempotent, and safe on a counter that never went parallel; the
         counter itself stays fully usable (a later parallel query simply
-        builds a fresh pool).
+        starts a fresh pool).
         """
-        self._shutdown_pool()
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown()
 
     def __enter__(self) -> "PatternCounter":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self._shutdown_pool()
-        except Exception:
-            pass
 
     # -- dataset facade -----------------------------------------------------------
 
@@ -938,7 +896,7 @@ class PatternCounter:
         """Merged :class:`KeyTable` over ``attrs``, built once and cached.
 
         The per-source tables (each cached by its source) are built in
-        process or fanned out to the worker pool, then sum-merged.
+        the calling thread or on the thread pool, then sum-merged.
         ``None`` when the radix encoding over ``attrs`` overflows 64
         bits — callers fall back to the mask path.
         """
@@ -1038,9 +996,8 @@ class PatternCounter:
         cheap as an equality.  Patterns whose non-terminal range
         attributes would expand past the fanout cap, and attribute sets
         whose radix product overflows 64 bits, fall back to the mask
-        path, summed over sources — fanned out over the worker pool when
-        one is active, with the code runs themselves (plain Python ints)
-        as the task payload.
+        path, summed over sources (on the thread pool with
+        ``parallel=True``).
         """
         attrs = tuple(attributes)
         runs_rows = list(runs_rows)
@@ -1215,7 +1172,7 @@ class PatternCounter:
 
         Batch companion of :meth:`joint_table`: deduplicates the
         requested sets, builds the uncached ones per source (optionally
-        in the worker pool) and merges them additively into the shared
+        on the thread pool) and merges them additively into the shared
         cache, so interleaved callers — candidate evaluation, label
         building, workload scoring — never recompute a table another
         layer already paid for.
@@ -1267,7 +1224,7 @@ class PatternCounter:
         subset's radix key space stays within a small multiple of the
         row count (``O(n + radix)`` instead of a sort).  Over several
         sources, each subset's size is that of the union of the
-        per-source distinct key sets (optionally built in the worker
+        per-source distinct key sets (optionally built on the thread
         pool).  Results land in (and are served from) the same per-set
         cache as :meth:`label_size`; missing-value relations and 64-bit
         radix overflows fall back to the scalar path per subset.
@@ -1306,7 +1263,7 @@ class PatternCounter:
         self, attribute_sets: Sequence[tuple[str, ...]]
     ) -> list[np.ndarray | None]:
         """:meth:`distinct_keys` for several sets; the per-source key sets
-        are built in the worker pool when one is active."""
+        are built on the thread pool with ``parallel=True``."""
         per_source = self._per_source(
             "distinct_keys", [(attrs,) for attrs in attribute_sets]
         )

@@ -199,8 +199,8 @@ class LabelMaintainer:
         the update — the incremental path — instead of the full
         rebind-and-recount a single-shard counter needs.
     parallel:
-        Build per-shard joint tables in a process pool (only meaningful
-        with ``shards > 1``).
+        Build per-shard joint tables on the counter's thread pool (only
+        meaningful with ``shards > 1``).
     """
 
     def __init__(

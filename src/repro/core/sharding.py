@@ -21,9 +21,9 @@ Why shard:
   shards' tables survive, only the cheap merged layer is recomputed,
   instead of the full rebind-and-recount of a single-shard counter;
 * **parallel profiling** — per-shard table builds are independent, so
-  with ``parallel=True`` they run on a persistent pool of zero-copy
-  workers (:class:`repro.core.parallel.ShardWorkerPool`) and are merged
-  in the calling process, so labels stay byte-identical.
+  with ``parallel=True`` they run on the counter's thread pool, one task
+  per shard, and are merged in the calling thread, so labels stay
+  byte-identical.
 
 This module holds the pieces around that counter: :func:`make_counter`,
 the factory the upper layers call to turn a dataset (plus a ``shards=``
@@ -220,10 +220,10 @@ def make_counter(
     shards:
         Target shard count (``None`` keeps the source's natural shape).
     parallel:
-        Fan per-shard table builds out to a persistent zero-copy worker
-        pool (see :class:`~repro.core.counts.PatternCounter`).
+        Run per-shard table builds on the counter's thread pool (see
+        :class:`~repro.core.counts.PatternCounter`).
     max_workers:
-        Worker-pool size cap, clamped to the shard count; only
+        Thread-pool size cap, clamped to the shard count; only
         meaningful with ``parallel=True``.
     """
     if isinstance(source, PatternCounter):

@@ -31,13 +31,10 @@ files; the shard payloads exist for consumers that need the counters
 back (re-search under a new bound, exact evaluation, maintenance).
 
 That once-per-touch policy is the default (``verify="lazy"``) of a
-three-way knob on :func:`open_pack`: ``"eager"`` checksums every file
-at open (fail-fast deployments), and ``"skip"`` trusts the files
-outright.  ``"skip"`` exists for the worker processes of the parallel
-sharded backend — the *parent* verifies a shard's checksum once when it
-builds the worker pool, and each worker re-maps the same already-
-trusted file; without it every worker would re-hash every shard (the
-once-per-mapping guard is per-process state).
+two-way knob on :func:`open_pack`; ``"eager"`` checksums every file at
+open (fail-fast deployments).  A parallel counter loads its shards on
+several threads at once; the reader still hashes each file exactly
+once, and its bookkeeping (:class:`PackStats`) is guarded by a lock.
 
 Every write goes through :mod:`repro.persist.atomic` — temp file plus
 ``os.replace`` per file, manifest last — so a crash mid-pack leaves
@@ -289,10 +286,9 @@ class _PackSource(RowSource):
     computed in memory — copy-on-write at whole-cache granularity.
     """
 
-    def __init__(self, reader: "PackReader", index: int, entry: dict) -> None:
+    def __init__(self, reader: "PackReader", entry: dict) -> None:
         super().__init__(None)
         self._reader = reader
-        self._index = index
         self._entry = entry
         self._lock = threading.Lock()
 
@@ -319,31 +315,13 @@ class _PackSource(RowSource):
         """True once the shard file has been verified and mapped."""
         return self._dataset is not None
 
-    @property
-    def pack_shard_ref(self):
-        """Zero-copy worker address of this shard (pack dir + index):
-        :class:`repro.core.parallel.ShardWorkerPool` ships it instead of
-        exporting the rows to shared memory."""
-        from repro.core.parallel import PackShardRef
-
-        return PackShardRef(str(self._reader.path), self._index)
-
-    def ensure_verified(self) -> None:
-        """Checksum the shard file now (no-op if already verified).
-
-        The parent-side half of the worker trust chain: verify here,
-        once, then let every worker open the pack with
-        ``verify="skip"``.  Honors the reader's own verify mode — a
-        reader opened with ``"skip"`` declared the files trusted.
-        """
-        self._reader._verify_file(self._entry, kind="shard")
-
     def _load(self) -> None:
         reader = self._reader
         entry = self._entry
         file_path = reader.path / entry["file"]
         reader._verify_file(entry, kind="shard")
-        reader.stats.shard_loads.append(entry["file"])
+        with reader._lock:
+            reader.stats.shard_loads.append(entry["file"])
 
         codes: np.ndarray | None = None
         parts: dict[str, dict[tuple[str, ...], np.ndarray]] = {
@@ -456,14 +434,16 @@ class PackReader:
 
     ``verify`` sets the checksum policy: ``"lazy"`` (default) hashes a
     file once when first touched, ``"eager"`` hashes every file right
-    here at open, ``"skip"`` never hashes (for worker processes
-    re-opening a pack the parent already verified).  The stat screens
-    (existence, exact size) run in every mode.
+    here at open.  The stat screens (existence, exact size) run in both
+    modes.
 
-    :attr:`stats` counts the files actually materialized.
+    :attr:`stats` counts the files actually materialized.  Shards of a
+    ``parallel=True`` counter load on the counter's threads; each shard
+    file is still hashed once (its source loads under its own lock),
+    and a reader lock guards the shared bookkeeping.
     """
 
-    _VERIFY_MODES = ("eager", "lazy", "skip")
+    _VERIFY_MODES = ("eager", "lazy")
 
     def __init__(self, path: str | Path, *, verify: str = "lazy") -> None:
         if verify not in self._VERIFY_MODES:
@@ -520,6 +500,9 @@ class PackReader:
         }
         self.stats = PackStats()
         self._verified: set[str] = set()
+        # Guards _verified and stats: shard sources of a parallel
+        # counter load concurrently.
+        self._lock = threading.Lock()
         self._labels_cache: dict[str, Any] = {}
         self._merged: PatternCounter | None = None
         # Cheap eager screens: every referenced file must exist with
@@ -539,10 +522,7 @@ class PackReader:
                     f"overgrown: {actual} bytes on disk, manifest records "
                     f"{entry['bytes']}"
                 )
-        self._sources = [
-            _PackSource(self, index, entry)
-            for index, entry in enumerate(shards)
-        ]
+        self._sources = [_PackSource(self, entry) for entry in shards]
         if verify == "eager":
             for entry, kind in self._iter_file_entries():
                 self._verify_file(entry, kind=kind)
@@ -595,11 +575,13 @@ class PackReader:
     def _verify_file(self, entry: dict, *, kind: str) -> None:
         """Checksum ``entry``'s file once, before its bytes are trusted.
 
-        Under ``verify="skip"`` this is a no-op — the caller opted out
-        of hashing (worker processes trusting the parent's pass).
+        The hash runs outside the reader lock, so a parallel counter's
+        shards verify concurrently; a shard file is only ever verified
+        under its source's load lock, which keeps it from being hashed
+        twice.
         """
         name = entry["file"]
-        if name in self._verified or self._verify_mode == "skip":
+        if name in self._verified:
             return
         file_path = self._path / name
         try:
@@ -614,8 +596,10 @@ class PackReader:
                 f"({digest} != recorded {entry['checksum']}); the pack is "
                 "corrupt — re-run 'repro pack'"
             )
-        self._verified.add(name)
-        self.stats.bytes_verified += int(entry["bytes"])
+        with self._lock:
+            if name not in self._verified:
+                self._verified.add(name)
+                self.stats.bytes_verified += int(entry["bytes"])
 
     # -- labels ------------------------------------------------------------------
 
@@ -681,10 +665,11 @@ class PackReader:
         """The pack's counting backend, in its natural shape.
 
         One counter over every shard's lazy row source; nothing is read
-        until queried.  With ``parallel=True`` a multi-shard counter fans
-        queries out to its zero-copy worker pool — workers re-map this
-        pack's shard files directly (``max_workers`` caps the pool).
-        The backend is cached per reader; the first call's options win.
+        until queried.  With ``parallel=True`` a multi-shard counter runs
+        its per-shard work — first touches included, so shards are
+        verified and mapped concurrently — on its thread pool
+        (``max_workers`` caps the pool).  The backend is cached per
+        reader; the first call's options win.
         """
         if self._merged is None:
             self._merged = PatternCounter(
@@ -698,8 +683,7 @@ def open_pack(path: str | Path, *, verify: str = "lazy") -> PackReader:
 
     ``verify`` picks the checksum policy: ``"lazy"`` (default) hashes
     each file once on first touch, ``"eager"`` hashes everything at
-    open, ``"skip"`` trusts the files (workers re-opening a pack the
-    parent already verified).
+    open; any other value raises ``ValueError``.
     """
     return PackReader(path, verify=verify)
 

@@ -116,6 +116,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -136,10 +138,23 @@ class _Handler(BaseHTTPRequestHandler):
         Called before any routing decision: an error response that
         leaves body bytes unread would desynchronize an HTTP/1.1
         keep-alive connection (the next request would be parsed from
-        the middle of this one's payload).
+        the middle of this one's payload).  A ``Content-Length`` that is
+        not a non-negative integer leaves the body's framing unknown, so
+        the request is refused and the connection closed after the
+        answer.
         """
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length > 0 else b""
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise BadRequestError(
+                f"malformed Content-Length header {header!r}; expected a "
+                "non-negative integer"
+            )
+        return self.rfile.read(length) if length else b""
 
     @staticmethod
     def _parse_json_body(raw: bytes) -> Any:
@@ -201,8 +216,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_response(exc)
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
-        raw = self._read_body()  # always drained, even for bad routes
         try:
+            raw = self._read_body()  # always drained, even for bad routes
             parts, _ = self._route()
             service = self.server.service
             if len(parts) == 3 and parts[0] == "labels":

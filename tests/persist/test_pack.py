@@ -242,17 +242,47 @@ class TestLaziness:
         assert reader.stats.shard_loads == ["shard-0000.bin"]
 
     def test_merged_query_loads_each_shard_once(self, pack_dir):
-        reader = open_pack(pack_dir)
-        counter = reader.counter()
-        assert reader.stats.shard_loads == []
-        counter.count_many(PATTERNS)
-        assert sorted(reader.stats.shard_loads) == [
-            "shard-0000.bin",
-            "shard-0001.bin",
-            "shard-0002.bin",
-        ]
-        counter.count_many(PATTERNS)  # cached: no re-verification
-        assert len(reader.stats.shard_loads) == 3
+        manifest = json.loads((pack_dir / MANIFEST_NAME).read_text())
+        shard_bytes = sum(int(e["bytes"]) for e in manifest["shards"])
+        # Serially, and with the shards loading on the counter's threads.
+        for options in ({}, {"parallel": True, "max_workers": 2}):
+            reader = open_pack(pack_dir)
+            with reader.counter(**options) as counter:
+                assert reader.stats.shard_loads == []
+                counter.count_many(PATTERNS)
+                assert sorted(reader.stats.shard_loads) == [
+                    "shard-0000.bin",
+                    "shard-0001.bin",
+                    "shard-0002.bin",
+                ]
+                counter.count_many(PATTERNS)  # cached: no re-verification
+                assert len(reader.stats.shard_loads) == 3
+                assert reader.stats.bytes_verified == shard_bytes
+
+    def test_concurrent_shard_loads_keep_exact_stats(self, tmp_path, figure2):
+        # More threads than cores and a tiny switch interval: a lost
+        # update to the reader's shared bookkeeping would show here.
+        import sys
+
+        pack_dir = write_pack(
+            tmp_path / "pack6", ShardedPatternCounter.from_dataset(figure2, 6)
+        )
+        shards = json.loads((pack_dir / MANIFEST_NAME).read_text())["shards"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                reader = open_pack(pack_dir)
+                with reader.counter(parallel=True, max_workers=6) as counter:
+                    counter.count_many(PATTERNS)
+                assert sorted(reader.stats.shard_loads) == sorted(
+                    entry["file"] for entry in shards
+                )
+                assert reader.stats.bytes_verified == sum(
+                    int(entry["bytes"]) for entry in shards
+                )
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_mapped_arrays_are_read_only(self, pack_dir):
         counter = open_pack(pack_dir).shard_counter(1)
@@ -330,6 +360,17 @@ class TestCorruption:
         ):
             reader.shard_counter(0).count(PATTERNS[0])
 
+    def test_bad_shard_checksum_fails_in_a_parallel_counter(self, pack_dir):
+        # The corrupt shard is first touched on a pool thread; the same
+        # typed error reaches the caller.
+        _flip_last_byte(pack_dir / "shard-0000.bin")
+        reader = open_pack(pack_dir)
+        with reader.counter(parallel=True, max_workers=2) as counter:
+            with pytest.raises(
+                ArtifactError, match="shard-0000.bin fails its checksum"
+            ):
+                counter.count_many(PATTERNS)
+
     def test_bad_label_checksum(self, pack_dir):
         _flip_last_byte(pack_dir / "label-demo.json")
         reader = open_pack(pack_dir)
@@ -403,6 +444,28 @@ class TestSessionPack:
         with pytest.raises(SessionError, match="no counter state"):
             bare.to_pack(tmp_path / "pack")
 
+    def test_parallel_fit_packs_identically(self, tmp_path):
+        # Per-shard tables stay in the counter's own sources whether or
+        # not they were built on the thread pool, so the pack bytes match.
+        from repro.datasets import load_dataset
+
+        data = load_dataset("bluenile", n_rows=3_000, seed=0)
+        serial = LabelingSession.fit(data, 30, shards=3)
+        parallel = LabelingSession.fit(
+            data, 30, shards=3, parallel=True, max_workers=2
+        )
+        serial.to_pack(tmp_path / "serial", name="demo")
+        parallel.to_pack(tmp_path / "parallel", name="demo")
+        parallel.counter.close()
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == sorted(
+            p.name for p in (tmp_path / "parallel").iterdir()
+        )
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "parallel" / name
+            ).read_bytes(), name
+
     def test_update_detaches_stale_pack(self, tmp_path, session, figure2):
         session.to_pack(tmp_path / "pack")
         warm = LabelingSession.from_pack(tmp_path / "pack")
@@ -461,12 +524,11 @@ class TestStorePack:
 
 
 class TestVerifyModes:
-    """The three-way checksum knob: ``eager`` / ``lazy`` / ``skip``.
+    """The checksum knob: ``eager`` / ``lazy``.
 
     ``PackStats.bytes_verified`` is the observable: eager hashes every
     referenced file at open; lazy hashes each file exactly once, on
-    first touch; skip never hashes (the worker trust chain — the pool
-    parent verified once, workers reopen with ``verify="skip"``).
+    first touch.
     """
 
     @pytest.fixture
@@ -503,75 +565,12 @@ class TestVerifyModes:
         assert reader.shard_counter(1).count(PATTERNS[0]) == count
         assert reader.stats.bytes_verified == after_first
 
-    def test_skip_never_hashes(self, pack_dir):
-        reader = open_pack(pack_dir, verify="skip")
-        assert reader.verify_mode == "skip"
-        reader.shard_counter(0).count(PATTERNS[0])
-        reader.load_label("demo")
-        assert reader.stats.bytes_verified == 0
-
-    def test_skip_trusts_corrupt_bytes(self, pack_dir):
-        # Same-size corruption passes the stat screen; a skip reader
-        # declared the files trusted, so it maps them without complaint
-        # (this is exactly what makes it safe only behind a parent that
-        # verified first).
-        _flip_last_byte(pack_dir / "label-demo.json")
-        reader = open_pack(pack_dir, verify="skip")
-        with pytest.raises(Exception):  # garbage JSON, not a checksum error
-            reader.load_label("demo")
-        assert reader.stats.bytes_verified == 0
-
     def test_eager_catches_corruption_at_open(self, pack_dir):
         _flip_last_byte(pack_dir / "label-demo.json")
         with pytest.raises(ArtifactError, match="checksum"):
             open_pack(pack_dir, verify="eager")
 
     def test_invalid_mode_rejected(self, pack_dir):
-        with pytest.raises(ValueError, match="verify"):
-            open_pack(pack_dir, verify="never")
-
-    def test_ensure_verified_hashes_one_shard_once(self, pack_dir):
-        reader = open_pack(pack_dir)
-        source = reader.shard_source(0)
-        ref = source.pack_shard_ref
-        assert ref is not None
-        assert ref.path == str(reader.path) and ref.index == 0
-        source.ensure_verified()
-        after = reader.stats.bytes_verified
-        assert after > 0
-        source.ensure_verified()  # idempotent — hashed exactly once
-        assert reader.stats.bytes_verified == after
-
-    def test_ensure_verified_honors_skip(self, pack_dir):
-        reader = open_pack(pack_dir, verify="skip")
-        reader.shard_source(0).ensure_verified()
-        assert reader.stats.bytes_verified == 0
-
-    def test_pool_build_verifies_parent_side_once(self, pack_dir):
-        """The worker trust chain, parent half.
-
-        Building a pool over pack-backed counters checksums every shard
-        file right there — once — so workers can reopen the pack with
-        ``verify="skip"`` and still be covered.
-        """
-        from repro.core.parallel import PackShardRef, ShardWorkerPool
-
-        shard_bytes, _ = self._manifest_bytes(pack_dir)
-        reader = open_pack(pack_dir)
-        counter = reader.counter()
-        pool = ShardWorkerPool(
-            list(counter.sources), counter.schema
-        )
-        try:
-            assert all(
-                isinstance(ref, PackShardRef) for ref in pool._refs
-            )
-            assert reader.stats.bytes_verified == shard_bytes
-            # A second pool over the same reader re-hashes nothing.
-            second = ShardWorkerPool(
-                list(counter.sources), counter.schema
-            )
-            second.close()
-            assert reader.stats.bytes_verified == shard_bytes
-        finally:
-            pool.close()
+        for mode in ("never", "skip"):
+            with pytest.raises(ValueError, match="verify"):
+                open_pack(pack_dir, verify=mode)

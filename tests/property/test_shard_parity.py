@@ -189,11 +189,7 @@ def test_mixed_range_counts_match_single_counter(data_strategy, allow_missing):
 
 # -- parity across parallel execution modes -------------------------------------
 
-PARALLEL_MODES = (
-    "serial",
-    pytest.param("pool", marks=pytest.mark.parallel),
-    pytest.param("pack", marks=pytest.mark.parallel),
-)
+PARALLEL_MODES = ("serial", "pool", "pack")
 
 
 def _mode_counter(mode, data, k, tmp_path):
@@ -217,7 +213,8 @@ def _mode_counter(mode, data, k, tmp_path):
 @pytest.mark.parametrize("k", (1, 2, 4))
 @pytest.mark.parametrize("mode", PARALLEL_MODES)
 def test_parallel_mode_parity(tmp_path, mode, k):
-    """Serial, shm-pool, and pack-backed workers agree byte for byte.
+    """Serial, thread-pool, and pack-backed thread-pool counters agree
+    byte for byte.
 
     The parallel fan-out must be invisible: identical ``count_many``
     vectors, identical joint tables, and labels whose JSON renderings
@@ -247,19 +244,18 @@ def test_parallel_mode_parity(tmp_path, mode, k):
         assert label == reference
         assert label.to_json() == reference.to_json()
         if k == 1:
-            assert counter._pool is None  # K=1 routes serial
+            assert counter._executor is None  # K=1 routes serial
         elif mode != "serial":
-            assert counter._pool is not None and counter._pool.started
+            assert counter._executor is not None
 
 
 @pytest.mark.parametrize("k", (1, 2, 4))
 @pytest.mark.parametrize("mode", PARALLEL_MODES)
 def test_parallel_mode_parity_mixed_ranges(tmp_path, mode, k):
-    """Range predicates cross the worker boundary byte for byte.
+    """Range predicates answer byte for byte in every execution mode.
 
     A 50/50 equality/range workload must come back identical from the
-    serial path, the shm-pool workers, and the pack-backed workers — the
-    code-run task encoding is part of the worker protocol now.
+    serial path, the thread pool, and the pack-backed thread pool.
     """
     data = load_dataset("bluenile", n_rows=300, seed=7)
     single = PatternCounter(data)
@@ -280,12 +276,12 @@ def test_parallel_mode_parity_mixed_ranges(tmp_path, mode, k):
 
 
 def test_range_counts_survive_radix_overflow_pool(tmp_path):
-    """The ``counts_for_runs`` pool task fires on radix overflow.
+    """The per-shard ``count_runs`` fallback runs on the pool on radix
+    overflow.
 
     A pattern binding eight attributes of cardinality 256 pushes the
     Horner radix to 2**64, so no merged key table exists for that set
-    and its code runs must fan out to the per-shard workers as the
-    ``counts_for_runs`` task.
+    and its code runs must fan out to the per-shard pool tasks.
     """
     rng = np.random.default_rng(13)
     names = [f"A{i}" for i in range(8)]
@@ -320,7 +316,7 @@ def test_range_counts_survive_radix_overflow_pool(tmp_path):
             if table is None
         ]
         assert overflow_sets, "expected a radix-overflow attribute set"
-        assert sharded._pool is not None and sharded._pool.started
+        assert sharded._executor is not None
 
 
 # -- parity on every shipped dataset generator ----------------------------------

@@ -385,6 +385,42 @@ class TestKeepAliveDiscipline:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400_and_closes(
+        self, service, length
+    ):
+        """A body whose framing is unknown cannot be drained: the server
+        answers a typed 400 and hangs up instead of parsing the body (or
+        a pipelined follow-up) as the next request."""
+        import socket
+
+        body = b'{"pattern": {"gender": "F"}}'
+        request = (
+            "POST /labels/compas/estimate HTTP/1.1\r\n"
+            f"Host: {service.host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode() + body
+        follow_up = (
+            "POST /labels/compas/estimate HTTP/1.1\r\n"
+            f"Host: {service.host}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode() + body
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            sock.sendall(request + follow_up)
+            reply = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                reply += chunk
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert reply.count(b"HTTP/1.") == 1  # nothing after the 400
+        error = json.loads(payload.decode())["error"]
+        assert error["code"] == "bad_request"
+        assert "Content-Length" in error["message"]
+
     def test_label_names_with_url_special_characters(self, session):
         from urllib.parse import quote
 

@@ -75,6 +75,26 @@ class TestLabelCommand:
         assert code == 0
         assert out.read_text() == label_path.read_text()
 
+    def test_parallel_label_matches_serial(self, csv_path, tmp_path):
+        serial = tmp_path / "serial.json"
+        parallel = tmp_path / "parallel.json"
+        fit = ["label", str(csv_path), "--bound", "5", "--shards", "3"]
+        assert main([*fit, "-o", str(serial)]) == 0
+        assert (
+            main([*fit, "--parallel", "--max-workers", "2",
+                  "-o", str(parallel)])
+            == 0
+        )
+        assert parallel.read_text() == serial.read_text()
+
+    def test_max_workers_below_one_is_a_usage_error(self, csv_path):
+        from repro.cli import EXIT_USAGE
+
+        with pytest.raises(SystemExit) as info:
+            main(["label", str(csv_path), "--shards", "3", "--parallel",
+                  "--max-workers", "0"])
+        assert info.value.code == EXIT_USAGE
+
     def test_envelope_flag_writes_current_format(self, csv_path, tmp_path):
         out = tmp_path / "envelope.json"
         code = main(
