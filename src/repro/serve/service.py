@@ -25,12 +25,21 @@ Every handler resolves its snapshot *once* and answers entirely from it,
 so a concurrent publish can never mix versions inside one response.
 Errors come back as :class:`~repro.serve.protocol.ErrorResponse` JSON
 with the matching HTTP status.
+
+Request bodies are framed by ``Content-Length`` only and always
+drained.  A request whose framing is unknown -- ``Transfer-Encoding``,
+a malformed ``Content-Length``, a malformed header line -- gets a typed
+400 and the connection closes after it.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socket
 import threading
+import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 from urllib.parse import parse_qs, unquote, urlparse
@@ -60,6 +69,18 @@ _CARD_RENDERERS = {
     "markdown": ("text/markdown; charset=utf-8", render_label_markdown),
     "html": ("text/html; charset=utf-8", render_label_html),
 }
+
+# One header line: field-name ":" OWS field-value (RFC 9112 §5).  The
+# name is an RFC 9110 token; a value carries no CR, LF or NUL (RFC 9110
+# §5.5).  Leading whitespace is not part of the value and trailing
+# whitespace is, as ``http.client.parse_headers`` reads it.
+_FIELD_LINE = re.compile(
+    r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*([^\r\n\0]*)\r?\n?"
+)
+# The limits ``http.client.parse_headers`` enforces; the blank line
+# ending the head counts toward the 100 lines, as it does there.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
 
 def _rows_dataset(
@@ -103,6 +124,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_Server"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket.  With Nagle's algorithm a
+    # small segment waits until the previous one is ACKed, and a client
+    # delays that ACK by ~40 ms: one stall per keep-alive response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -110,16 +135,111 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.service.verbose:
             super().log_message(format, *args)
 
+    def parse_request(self) -> bool:
+        """Parse an HTTP/1.1 request head without ``email.parser``.
+
+        ``http.client.parse_headers`` runs each head through the email
+        feed parser, about half the server's CPU for a cached answer.
+        A request line of three words ending in ``HTTP/1.1`` is parsed
+        here with the stdlib's semantics: the same ``HTTPMessage``
+        items, the ``//`` path collapse (gh-87389), the 431 limits,
+        ``Connection`` and ``Expect: 100-continue``.  A header line that
+        is not ``field-name ":" value`` -- no colon, whitespace before
+        the colon, a name that is not a token, an obs-fold continuation
+        (RFC 9112 §5.2 lets a server reject it) or a CR or NUL in the
+        value -- gets a typed 400 and the connection closes.  Every
+        other request line takes the stdlib path.
+        """
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if len(words) != 3 or words[2] != "HTTP/1.1":
+            return super().parse_request()
+        self.requestline = requestline
+        self.command, path, self.request_version = words
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.path = path
+        self.close_connection = False
+        headers = self.MessageClass()
+        lines = 0
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {_MAX_LINE} bytes when reading "
+                    "header line",
+                )
+                return False
+            lines += 1
+            if lines > _MAX_HEADERS:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {_MAX_HEADERS} headers",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            text = str(line, "iso-8859-1")
+            field = _FIELD_LINE.fullmatch(text)
+            if field is None:
+                self.close_connection = True
+                self._send_error_response(
+                    BadRequestError(
+                        f"malformed header line {text!r}; expected "
+                        "'field-name: value' with a token name, no "
+                        "whitespace before the colon and no line folding"
+                    )
+                )
+                return False
+            headers.set_raw(*field.groups())
+        self.headers = headers
+        if headers.get("Connection", "").lower() == "close":
+            self.close_connection = True
+        if headers.get("Expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
     def _send(
         self, status: int, body: bytes, content_type: str
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Write the whole response -- status line, headers, body -- at once.
+
+        The head holds the bytes ``send_response`` + ``send_header`` +
+        ``end_headers`` write; one write puts a small response in one
+        TCP segment.
+        """
+        self.log_request(status)
+        if self.request_version == "HTTP/0.9":  # a 0.9 response has no head
+            self.wfile.write(body)
+            return
+        head = (
+            f"{self.protocol_version} {status} "
+            f"{self.responses.get(status, ('',))[0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self._date()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            head += "Connection: close\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
+
+    def _date(self) -> str:
+        """``date_time_string()``, formatted at most once a second.
+
+        An HTTP-date has one-second resolution.  The server keeps the
+        last ``(second, text)`` pair; a thread replaces it whole, so a
+        race at worst formats the same second twice.
+        """
+        now = int(time.time())
+        second, text = self.server.last_date
+        if second != now:
+            text = self.date_time_string(now)
+            self.server.last_date = (now, text)
+        return text
 
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         self._send(
@@ -139,10 +259,17 @@ class _Handler(BaseHTTPRequestHandler):
         leaves body bytes unread would desynchronize an HTTP/1.1
         keep-alive connection (the next request would be parsed from
         the middle of this one's payload).  A ``Content-Length`` that is
-        not a non-negative integer leaves the body's framing unknown, so
-        the request is refused and the connection closed after the
-        answer.
+        not a non-negative integer, or any ``Transfer-Encoding`` (bodies
+        are framed by length only; RFC 9112 §6), leaves the body's
+        framing unknown, so the request is refused and the connection
+        closed after the answer.
         """
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise BadRequestError(
+                "Transfer-Encoding is not supported; frame the request "
+                "body with Content-Length"
+            )
         header = self.headers.get("Content-Length") or "0"
         try:
             length = int(header)
@@ -178,6 +305,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         try:
+            self._read_body()  # a GET body is drained and ignored
             parts, query = self._route()
             service = self.server.service
             if parts == ["labels"]:
@@ -306,7 +434,12 @@ class _Handler(BaseHTTPRequestHandler):
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's backlog of 5 drops the SYNs of clients that connect
+    # in a burst before the accept loop catches up; the kernel caps the
+    # backlog at net.core.somaxconn.
+    request_queue_size = socket.SOMAXCONN
     service: "LabelService"
+    last_date: tuple[int, str] = (-1, "")
 
 
 class LabelService:

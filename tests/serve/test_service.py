@@ -1,13 +1,28 @@
-"""HTTP round trip against a live LabelService on an ephemeral port."""
+"""HTTP round trip against a live LabelService on an ephemeral port.
+
+``TestRequestHead`` also drives the handler's head parser and response
+writer on in-memory streams, against the stdlib code they replace.
+"""
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
+import re
+import socket
+import statistics
+import string
 import threading
+import time
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     Dataset,
@@ -17,6 +32,7 @@ from repro import (
     build_label,
 )
 from repro.serve import LabelService, LabelStore
+from repro.serve.service import _Handler
 
 
 @pytest.fixture
@@ -52,6 +68,72 @@ def _error(callable_):
     with pytest.raises(urllib.error.HTTPError) as info:
         callable_()
     return info.value.code, json.loads(info.value.read().decode())
+
+
+def _raw_exchange(service, data: bytes) -> bytes:
+    """Send raw bytes; everything the server writes until it hangs up."""
+    with socket.create_connection(
+        (service.host, service.port), timeout=10
+    ) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+_BODY = json.dumps({"pattern": {"gender": "Female"}}).encode()
+_ESTIMATE_HEAD = (
+    "POST /labels/compas/estimate HTTP/1.1\r\n"
+    "Host: 127.0.0.1\r\n"
+    "Content-Type: application/json\r\n"
+)
+_LENGTH = f"Content-Length: {len(_BODY)}\r\n"
+# Each request leaves its body's framing unknown; the second item names
+# what the 400's message must mention.
+MALFORMED_REQUESTS = [
+    pytest.param(
+        (_ESTIMATE_HEAD + "Content-Length: abc\r\n\r\n").encode() + _BODY,
+        "Content-Length",
+        id="length-abc",
+    ),
+    pytest.param(
+        (_ESTIMATE_HEAD + "Content-Length: -5\r\n\r\n").encode() + _BODY,
+        "Content-Length",
+        id="length-neg",
+    ),
+    pytest.param(
+        (
+            _ESTIMATE_HEAD + "Transfer-Encoding: chunked\r\n\r\n"
+            f"{len(_BODY):x}\r\n"
+        ).encode()
+        + _BODY
+        + b"\r\n0\r\n\r\n",
+        "Transfer-Encoding",
+        id="chunked",
+    ),
+    pytest.param(
+        (_ESTIMATE_HEAD + _LENGTH.replace(":", "") + "\r\n").encode()
+        + _BODY,
+        "header line",
+        id="no-colon",
+    ),
+    pytest.param(
+        (_ESTIMATE_HEAD + _LENGTH.replace(":", " :") + "\r\n").encode()
+        + _BODY,
+        "header line",
+        id="space-colon",
+    ),
+    pytest.param(
+        (
+            _ESTIMATE_HEAD + "X-Note: first\r\n second\r\n" + _LENGTH
+            + "\r\n"
+        ).encode()
+        + _BODY,
+        "header line",
+        id="obs-fold",
+    ),
+]
 
 
 class TestCatalogEndpoints:
@@ -385,41 +467,104 @@ class TestKeepAliveDiscipline:
         finally:
             connection.close()
 
-    @pytest.mark.parametrize("length", ["abc", "-5"])
-    def test_malformed_content_length_is_400_and_closes(
-        self, service, length
+    @pytest.mark.parametrize("request_bytes, names", MALFORMED_REQUESTS)
+    def test_malformed_head_is_400_and_closes(
+        self, service, request_bytes, names
     ):
         """A body whose framing is unknown cannot be drained: the server
         answers a typed 400 and hangs up instead of parsing the body (or
         a pipelined follow-up) as the next request."""
-        import socket
-
-        body = b'{"pattern": {"gender": "F"}}'
-        request = (
-            "POST /labels/compas/estimate HTTP/1.1\r\n"
-            f"Host: {service.host}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {length}\r\n\r\n"
-        ).encode() + body
         follow_up = (
-            "POST /labels/compas/estimate HTTP/1.1\r\n"
-            f"Host: {service.host}\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode() + body
-        with socket.create_connection(
-            (service.host, service.port), timeout=10
-        ) as sock:
-            sock.sendall(request + follow_up)
-            reply = b""
-            while chunk := sock.recv(65536):  # until the server closes
-                reply += chunk
+            _ESTIMATE_HEAD + f"Content-Length: {len(_BODY)}\r\n\r\n"
+        ).encode() + _BODY
+        reply = _raw_exchange(service, request_bytes + follow_up)
         head, _, payload = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"\r\nConnection: close" in head
         assert reply.count(b"HTTP/1.") == 1  # nothing after the 400
         error = json.loads(payload.decode())["error"]
         assert error["code"] == "bad_request"
-        assert "Content-Length" in error["message"]
+        assert names in error["message"]
+
+    def test_get_body_is_drained(self, service, session):
+        """A GET's body is read and ignored, so a pipelined request
+        after it is parsed from its own first byte."""
+        get_body = b'{"ignored": "by GET"}'
+        request = (
+            "GET /labels HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {len(get_body)}\r\n\r\n"
+        ).encode() + get_body
+        follow_up = (
+            _ESTIMATE_HEAD + f"Content-Length: {len(_BODY)}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode() + _BODY
+        reply = _raw_exchange(service, request + follow_up)
+        assert re.findall(rb"HTTP/1.1 (\d+) ", reply) == [b"200", b"200"]
+        estimate = json.loads(reply.rpartition(b"\r\n\r\n")[2])
+        assert estimate["estimates"] == [
+            session.estimate(Pattern({"gender": "Female"}))
+        ]
+
+    @pytest.mark.parametrize(
+        "request_line",
+        [b"GET /labels HTTP/1.0\r\n\r\n", b"GET /labels\r\n\r\n"],
+        ids=["http-1.0", "http-0.9"],
+    )
+    def test_pre_1_1_request_is_answered_and_closed(
+        self, service, request_line
+    ):
+        reply = _raw_exchange(service, request_line)
+        if request_line.endswith(b"HTTP/1.0\r\n\r\n"):
+            head, _, reply = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"\r\nConnection: close" in head
+        # an HTTP/0.9 answer is the bare body
+        assert json.loads(reply)["labels"][0]["name"] == "compas"
+
+    def test_keep_alive_estimates_do_not_stall(self, service):
+        """Sequential requests on one connection: with Nagle's algorithm
+        and a delayed ACK each answer waited ~40 ms."""
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=10
+        )
+        seconds = []
+        try:
+            for _ in range(50):
+                start = time.perf_counter()
+                connection.request(
+                    "POST",
+                    "/labels/compas/estimate",
+                    body=_BODY,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                response.read()
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.010
+
+    def test_listen_backlog_holds_a_burst_of_connects(self, session):
+        """Clients that connect before the accept loop runs wait in the
+        listen backlog instead of having their SYNs dropped."""
+        service = session.serve(name="compas", start=False)
+        connected = []
+        try:
+            for _ in range(32):
+                try:
+                    connected.append(
+                        socket.create_connection(
+                            (service.host, service.port), timeout=0.5
+                        )
+                    )
+                except OSError:
+                    pass
+        finally:
+            for sock in connected:
+                sock.close()
+            service.stop()
+        assert len(connected) == 32
 
     def test_label_names_with_url_special_characters(self, session):
         from urllib.parse import quote
@@ -517,3 +662,188 @@ class TestScaleOutService:
                 assert payload["estimates"] == [
                     session.estimate(Pattern(pattern))
                 ]
+
+
+class _Writes(io.BytesIO):
+    """A ``wfile`` that counts its ``write`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def write(self, data) -> int:
+        self.calls += 1
+        return super().write(data)
+
+
+def _handler(server, rest: bytes) -> _Handler:
+    """A handler on in-memory streams, wired as ``setup()`` wires one."""
+    handler = _Handler.__new__(_Handler)
+    handler.server = server
+    handler.client_address = ("127.0.0.1", 0)
+    handler.rfile = io.BytesIO(rest)
+    handler.wfile = _Writes()
+    handler.close_connection = True
+    return handler
+
+
+def _parse_both(raw: bytes):
+    """Run the handler's ``parse_request`` and the stdlib's on ``raw``."""
+    server = SimpleNamespace(
+        service=SimpleNamespace(verbose=False), last_date=(-1, "")
+    )
+    line, _, rest = raw.partition(b"\n")
+    handlers = []
+    stdlib = BaseHTTPRequestHandler.parse_request
+    for parse in (_Handler.parse_request, stdlib):
+        handler = _handler(server, rest)
+        handler.raw_requestline = line + b"\n"
+        handlers.append((parse(handler), handler))
+    return handlers
+
+
+def _masked(response: bytes) -> bytes:
+    return re.sub(rb"\r\nDate: [^\r]*", b"\r\nDate: -", response)
+
+
+_TOKEN = string.ascii_letters + string.digits + "!#$%&'*+-.^_`|~"
+# Visible ASCII, space, tab and Latin-1 letters: no character any
+# supported version's email parser treats as a line break.
+_VALUE = st.text(
+    st.sampled_from(
+        [chr(c) for c in range(0x20, 0x7F)] + ["\t", "é", "ÿ", "\xa0"]
+    ),
+    max_size=12,
+)
+_FIELDS = st.one_of(
+    st.tuples(st.text(st.sampled_from(_TOKEN), min_size=1, max_size=10),
+              _VALUE),
+    st.tuples(
+        st.sampled_from(["Connection", "connection", "CONNECTION"]),
+        st.sampled_from(
+            ["close", "Close", "keep-alive", "Keep-Alive", "close ", ""]
+        ),
+    ),
+    st.tuples(
+        st.sampled_from(["Expect", "expect"]),
+        st.sampled_from(["100-continue", "100-Continue", "nothing"]),
+    ),
+    st.tuples(st.sampled_from(["Content-Length", "Host", "X-Bench-Req"]),
+              _VALUE),
+)
+
+
+@st.composite
+def request_heads(draw) -> bytes:
+    """A request head, mostly HTTP/1.1, its fields separated by optional
+    whitespace and ended by CRLF or a bare LF, then a body."""
+    method = draw(st.sampled_from(["GET", "POST", "PUT"]))
+    path = draw(
+        st.sampled_from(
+            ["/labels", "/labels/c/estimate?q=1", "//labels//x", "///", "*"]
+        )
+    )
+    version = draw(st.sampled_from(["HTTP/1.1"] * 3 + ["HTTP/1.0"]))
+    eol = st.sampled_from(["\r\n", "\n"])
+    text = f"{method} {path} {version}{draw(eol)}"
+    for name, value in draw(st.lists(_FIELDS, max_size=8)):
+        ows = draw(st.sampled_from(["", " ", "  ", "\t", " \t"]))
+        text += f"{name}:{ows}{value}{draw(eol)}"
+    return (text + draw(eol)).encode("latin-1") + b'{"body": 1}\r\n'
+
+
+class TestRequestHead:
+    """The handler's head parser and response writer against the stdlib
+    code paths they replace, on in-memory streams."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(request_heads())
+    def test_head_parser_matches_stdlib(self, raw):
+        head = raw.partition(b"\n")[2]
+        assume(not http.client.parse_headers(io.BytesIO(head)).defects)
+        (ours_ok, ours), (std_ok, std) = _parse_both(raw)
+        assert ours_ok is std_ok is True
+        assert type(ours.headers) is type(std.headers)
+        for attribute in (
+            "command", "path", "request_version", "close_connection"
+        ):
+            assert getattr(ours, attribute) == getattr(std, attribute)
+        assert ours.headers.items() == std.headers.items()
+        assert ours.wfile.getvalue() == std.wfile.getvalue()  # 100 Continue
+        assert ours.rfile.read() == std.rfile.read()  # the body is left
+
+    @pytest.mark.parametrize(
+        "fields, line_bytes, status",
+        [
+            (99, 20, None),
+            (100, 20, 431),  # the blank line ending the head is line 101
+            (101, 20, 431),
+            (1, 65536, None),
+            (1, 65537, 431),
+        ],
+    )
+    def test_head_limits_match_stdlib(self, fields, line_bytes, status):
+        filler = "x" * (line_bytes - len("X-0: \r\n"))
+        raw = (
+            "GET /labels HTTP/1.1\r\n"
+            + "".join(f"X-{i % 10}: {filler}\r\n" for i in range(fields))
+            + "\r\n"
+        ).encode()
+        (ours_ok, ours), (std_ok, std) = _parse_both(raw)
+        assert ours_ok is std_ok is (status is None)
+        assert _masked(ours.wfile.getvalue()) == _masked(std.wfile.getvalue())
+        if status is None:
+            assert ours.headers.items() == std.headers.items()
+        else:
+            assert ours.wfile.getvalue().startswith(b"HTTP/1.1 431 ")
+
+    @pytest.mark.parametrize(
+        "request_bytes, close",
+        [
+            pytest.param(
+                (_ESTIMATE_HEAD + _LENGTH + "\r\n").encode() + _BODY,
+                False,
+                id="json",
+            ),
+            pytest.param(
+                (_ESTIMATE_HEAD + "Content-Length: x\r\n\r\n").encode(),
+                True,
+                id="error-close",
+            ),
+            pytest.param(
+                b"GET /labels/compas/card?format=text HTTP/1.1\r\n\r\n",
+                False,
+                id="card",
+            ),
+        ],
+    )
+    def test_response_is_one_write_of_the_stdlib_head(
+        self, service, request_bytes, close
+    ):
+        ours = _handler(service._server, request_bytes)
+        ours.handle_one_request()
+        assert ours.wfile.calls == 1
+        response = ours.wfile.getvalue()
+        head, _, body = response.partition(b"\r\n\r\n")
+        status = int(head.split()[1])
+        content_type = re.search(rb"\r\nContent-Type: ([^\r]*)", head)[1]
+        assert ours.close_connection is close
+
+        # The head the stdlib's send_response/send_header/end_headers
+        # writes for the same answer, followed by its body.
+        reference = _handler(service._server, b"")
+        reference.request_version = "HTTP/1.1"
+        reference.requestline = ours.requestline
+        reference.close_connection = close
+        reference.send_response(status)
+        reference.send_header("Content-Type", content_type.decode())
+        reference.send_header("Content-Length", str(len(body)))
+        if close:
+            reference.send_header("Connection", "close")
+        reference.end_headers()
+        reference.wfile.write(body)
+        assert _masked(response) == _masked(reference.wfile.getvalue())
