@@ -614,14 +614,18 @@ def run(rows: int, queries: int, rounds: int, bound: int) -> dict:
     # 11. Streaming ingestion: the write path of ``repro serve --stream``.
     #    The synchronous path applies every batch with ``apply_inserts``
     #    (label arithmetic only, no durability, no serving); the streamed
-    #    path pushes the same batches through a ``StreamIngestor`` —
-    #    WAL-logged with fsync, counted as insert shards, and published
-    #    as a versioned snapshot swap per batch.  Before timing, a cold
-    #    WAL replay is asserted byte-identical to the synchronous
-    #    maintainer (the durability contract), and the per-publish swap
+    #    path pushes the same batches through a ``StreamIngestor`` with
+    #    the default ``StreamConfig`` that ``repro serve --stream`` runs —
+    #    WAL-logged with fsync, counted as insert shards, drift-checked
+    #    every 8th batch, and published as a versioned snapshot swap per
+    #    batch.  Before timing, a cold WAL replay is asserted
+    #    byte-identical to the synchronous maintainer (the durability
+    #    contract), the last drift check's error is asserted equal to a
+    #    ``count_many`` recount of its sample, and the per-publish swap
     #    latency — the reader-visible pause bound — must stay under
     #    10 ms at p99.
     from repro import StreamConfig  # noqa: E402
+    from repro.core.errors import evaluate_label  # noqa: E402
     from repro.core.maintenance import apply_inserts  # noqa: E402
     from repro.stream import StreamIngestor, WriteAheadLog  # noqa: E402
 
@@ -657,22 +661,59 @@ def run(rows: int, queries: int, rounds: int, bound: int) -> dict:
                 build_label(PatternCounter(dataset), stream_attrs),
                 wal=WriteAheadLog(wal_dir),
                 counter=PatternCounter(dataset),
-                config=StreamConfig(drift_threshold=None),
+                config=stream_config,
                 replay=replay_of is not None,
             )
 
+        stream_config = StreamConfig()
         last_ingestor: list[StreamIngestor] = []
+        last_checks: list = []  # the latest run's drift statuses
+        check_ms: list[float] = []  # every drift check, every run
 
         def streamed() -> list[int]:
             ingestor = _fresh_ingestor()
+            monitor = ingestor.drift_monitor
+            check = monitor.check
+
+            def timed_check(label):
+                start = time.perf_counter()
+                status = check(label)
+                check_ms.append((time.perf_counter() - start) * 1e3)
+                return status
+
+            monitor.check = timed_check
+            checks = []
             for batch in stream_batches:
-                ingestor.submit(inserted=batch)
+                drift = ingestor.submit(inserted=batch).drift
+                if drift is not None:
+                    checks.append((drift, ingestor.label))
             last_ingestor[:] = [ingestor]
+            last_checks[:] = checks
             return sorted(ingestor.label.pc.values())
 
         # Durability contract: a cold replay of the WAL the streamed
         # run wrote reconstructs the synchronous label byte-identically.
         streamed()
+        # Drift contract: the last check's sampled error equals the
+        # batch kernel's recount of the same sample.  That check ran on
+        # the last batch, and compaction keeps the row order, so the
+        # final counter holds the rows it sampled.
+        last_ingestor[0].join()
+        drift, drift_label = last_checks[-1]
+        drift_counter = last_ingestor[0].counter
+        drift_sample = random_pattern_workload(
+            drift_counter,
+            stream_config.drift_sample,
+            np.random.default_rng(stream_config.seed + len(last_checks) - 1),
+            min_arity=1,
+            max_arity=min(4, len(drift_counter.schema)),
+        )
+        recount = evaluate_label(drift_counter, drift_label, drift_sample)
+        if recount.max_abs != drift.error:
+            raise AssertionError(
+                f"streaming_ingest: drift check error {drift.error} != "
+                f"count_many recount {recount.max_abs}"
+            )
         replayed = _fresh_ingestor(replay_of=last_ingestor[0].wal.directory)
         sync_label = build_label(PatternCounter(dataset), stream_attrs)
         for batch in stream_batches:
@@ -711,6 +752,10 @@ def run(rows: int, queries: int, rounds: int, bound: int) -> dict:
         record["publish_p99_ms"] = round(publish_p99_ms, 3)
         record["batches_per_s"] = round(
             n_batches / record["streamed_median_s"], 1
+        )
+        record["drift_checks_per_run"] = len(last_checks)
+        record["drift_check_p50_ms"] = round(
+            statistics.median(check_ms), 3
         )
         scenarios["streaming_ingest/wal_publish"] = record
 

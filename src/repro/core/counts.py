@@ -12,15 +12,17 @@ exactly as one over their concatenation, and K = 1 is the plain
 single-dataset counter:
 
 * :meth:`PatternCounter.count` — the exact count ``c_D(p)`` of one pattern
-  (Definition 2.3), by vectorized mask intersection — the *scalar
-  reference path*, kept for parity testing of the batch kernel and as
-  its radix-overflow fallback;
+  (Definition 2.3), by ANDing per-value row bitsets and counting the
+  set bits — the *scalar reference path*, kept for parity testing of
+  the batch kernel, as its radix-overflow fallback, and for one-off
+  samples (the streaming drift check) that should not build a key
+  table per attribute set;
 * :meth:`PatternCounter.count_many` / :meth:`PatternCounter.counts_for_codes`
   — exact counts for a whole batch of patterns in one pass: patterns are
   grouped by attribute tuple, each group is radix-encoded into one
   ``int64`` key per pattern, and the keys are resolved against the
   group's :class:`KeyTable` (one ``searchsorted`` instead of one
-  boolean-mask intersection per pattern);
+  bitset intersection per pattern);
 * :meth:`PatternCounter.joint_table` / :meth:`PatternCounter.joint_tables`
   — the joint count table over attribute set(s) ``S`` (exactly the ``PC``
   content of ``L_S(D)``), cached per attribute set;
@@ -36,10 +38,11 @@ single-dataset counter:
   level-wise phase of every search strategy.
 
 Caching happens on two levels.  Each source caches the tables built over
-its own rows (``int64`` columns, key tables, joint tables, value counts),
-so a counter that gains a shard (:meth:`PatternCounter.add_shard`, the
-incremental insert path) builds tables for the new rows only; the counter
-caches the merged answers (plus fractions and label sizes).  With
+its own rows (``int64`` columns, key tables, joint tables, value counts,
+row bitsets), so a counter that gains a shard
+(:meth:`PatternCounter.add_shard`, the incremental insert path) builds
+tables for the new rows only; the counter caches the merged answers
+(plus fractions, label sizes and the concatenated row bitsets).  With
 ``parallel=True`` the per-source builds run on a thread pool the counter
 owns, one task per source, and merge in the calling thread.  Sources are
 immutable; to profile a new snapshot of evolving data, call
@@ -80,9 +83,66 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 #: Per-pattern cap on the Horner prefix expansion of non-terminal range
 #: attributes.  A pattern whose earlier range attributes match more code
-#: combinations than this falls back to the mask path — the expansion
+#: combinations than this falls back to the bitset path — the expansion
 #: would cost more than one data pass.
 _MAX_RUN_FANOUT = 4096
+
+#: Widest domain whose per-code row bitsets a source caches: ``card``
+#: bitsets of ``rows / 8`` bytes each stay within the column's ``int32``
+#: codes.  A wider column packs a mask per query instead.
+_BITSET_MAX_CARDINALITY = 32
+
+#: Rows compared per step while building a column's bitsets (a multiple
+#: of 8, so blocks pack into whole bytes).
+_BITSET_BLOCK_ROWS = 1 << 16
+
+
+def _pack_rows(mask: np.ndarray) -> np.ndarray:
+    """A boolean row mask as ``uint64`` words, zero-padded to a whole word.
+
+    The padding bits are zero, so the packed masks of consecutive row
+    ranges concatenate into the packed mask of their union.
+    """
+    packed = np.packbits(mask)
+    pad = -packed.size % 8
+    if pad:
+        packed = np.concatenate((packed, np.zeros(pad, dtype=np.uint8)))
+    return packed.view(np.uint64)
+
+
+def _or_runs(
+    bitsets: np.ndarray, runs: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Words of the rows whose code lies in one of ``runs``, from a
+    ``(cardinality, words)`` per-code bitset matrix.  A single code is
+    returned as a read-only view, never to be written through."""
+    if len(runs) == 1 and runs[0][1] - runs[0][0] == 1:
+        return bitsets[runs[0][0]]
+    codes = [code for lo, hi in runs for code in range(lo, hi)]
+    return np.bitwise_or.reduce(bitsets[codes], axis=0)
+
+
+def _count_and(words: Iterable[np.ndarray]) -> int:
+    """Set bits of the AND of non-empty packed masks of equal length."""
+    acc: np.ndarray | None = None
+    for part in words:
+        acc = part if acc is None else acc & part
+    assert acc is not None  # patterns are non-empty
+    return int(np.bitwise_count(acc).sum())
+
+
+def _pattern_runs(schema: Schema, pattern: Pattern) -> list:
+    """Each binding's half-open code runs, in ``pattern.attributes``
+    order (an equality is the single run ``(code, code + 1)``)."""
+    runs = []
+    for attribute, value in pattern.items_sorted:
+        column = schema[attribute]
+        if isinstance(value, Predicate):
+            runs.append(column.code_runs(value))
+        else:
+            code = column.code_of(value)
+            runs.append(((code, code + 1),))
+    return runs
 
 
 def expand_run_segments(
@@ -102,7 +162,7 @@ def expand_run_segments(
     overflowed)``: pattern ``owner[s]``'s count is the number of data
     keys in ``[seg_lo[s], seg_hi[s])``, summed over its segments, and
     ``overflowed`` lists patterns whose prefix expansion exceeded
-    ``max_fanout`` (resolve those by mask instead).
+    ``max_fanout`` (resolve those by row bitsets instead).
     """
     seg_lo: list[int] = []
     seg_hi: list[int] = []
@@ -317,6 +377,9 @@ class RowSource:
         ] = {}
         self._value_counts: dict[str, dict[Hashable, int]] = {}
         self._full_rows: tuple[np.ndarray, np.ndarray] | None = None
+        # Per attribute: its (cardinality, words) per-code row bitsets,
+        # or None for a domain too wide to cache.
+        self._bitsets: dict[str, np.ndarray | None] = {}
 
     @property
     def dataset(self) -> Dataset:
@@ -331,51 +394,73 @@ class RowSource:
     def rows(self) -> int:
         return self.dataset.n_rows
 
-    # -- scalar mask path -------------------------------------------------------
+    # -- scalar bitset path -----------------------------------------------------
+
+    def code_bitsets(self, attribute: str) -> np.ndarray | None:
+        """``attribute``'s per-code row bitsets, built on first use.
+
+        Row ``c`` of the ``(cardinality, ceil(rows / 64))`` ``uint64``
+        matrix packs the mask ``codes == c``, zero-padded to a whole
+        word; missing values (code ``-1``) sit in no bitset.  ``None``
+        for a domain wider than the cached bound — its queries pack a
+        mask each instead (see :meth:`run_words`).
+        """
+        if attribute not in self._bitsets:
+            bitsets = None
+            card = self.schema[attribute].cardinality
+            if card <= _BITSET_MAX_CARDINALITY:
+                codes = self.dataset.codes(attribute)
+                packed = np.zeros((card, 8 * -(-codes.size // 64)), np.uint8)
+                domain = np.arange(card, dtype=codes.dtype)[:, None]
+                # One (cardinality, block) comparison per row block
+                # bounds the boolean scratch; blocks are whole bytes.
+                for start in range(0, codes.size, _BITSET_BLOCK_ROWS):
+                    block = np.packbits(
+                        codes[start : start + _BITSET_BLOCK_ROWS] == domain,
+                        axis=1,
+                    )
+                    packed[:, start // 8 : start // 8 + block.shape[1]] = block
+                bitsets = packed.view(np.uint64)
+            self._bitsets[attribute] = bitsets
+        return self._bitsets[attribute]
+
+    def run_words(
+        self, attribute: str, runs: Sequence[tuple[int, int]]
+    ) -> np.ndarray:
+        """Packed mask of the rows whose ``attribute`` code lies in one
+        of the half-open ``runs`` (read-only)."""
+        bitsets = self.code_bitsets(attribute)
+        if bitsets is not None:
+            return _or_runs(bitsets, runs)
+        codes = self.dataset.codes(attribute)
+        mask = np.zeros(codes.shape, dtype=bool)
+        for lo, hi in runs:
+            mask |= (codes >= lo) & (codes < hi)
+        return _pack_rows(mask)
 
     def count(self, pattern: Pattern) -> int:
-        """Mask-intersection count of ``pattern`` over this source.
+        """Bitset count of ``pattern`` over this source.
 
-        An equality contributes one ``codes == code`` mask, a range
-        predicate ORs together one mask per matching code run (missing
-        values, code ``-1``, fall outside every run and so never satisfy
-        a predicate).
+        An equality contributes its code's row bitset, a range predicate
+        ORs the bitsets of every code in its runs (missing values fall
+        outside every run and so never satisfy a predicate); the
+        bindings' bitsets are ANDed and the set bits counted.
         """
-        dataset = self.dataset
-        schema = dataset.schema
-        mask: np.ndarray | None = None
-        for attribute, value in pattern.items_sorted:
-            codes = dataset.codes(attribute)
-            if isinstance(value, Predicate):
-                column_mask = np.zeros(codes.shape, dtype=bool)
-                for lo, hi in schema[attribute].code_runs(value):
-                    column_mask |= (codes >= lo) & (codes < hi)
-            else:
-                column_mask = codes == schema[attribute].code_of(value)
-            mask = column_mask if mask is None else (mask & column_mask)
-            if not mask.any():
-                return 0
-        assert mask is not None  # patterns are non-empty
-        return int(mask.sum())
+        return self.count_runs(
+            pattern.attributes, _pattern_runs(self.schema, pattern)
+        )
 
     def count_runs(
         self,
         attributes: Sequence[str],
         runs: Sequence[Sequence[tuple[int, int]]],
     ) -> int:
-        """Mask-intersection count of one code-run row (fallback path)."""
-        dataset = self.dataset
-        mask: np.ndarray | None = None
-        for attribute, attr_runs in zip(attributes, runs):
-            codes = dataset.codes(attribute)
-            column_mask = np.zeros(codes.shape, dtype=bool)
-            for lo, hi in attr_runs:
-                column_mask |= (codes >= lo) & (codes < hi)
-            mask = column_mask if mask is None else (mask & column_mask)
-            if not mask.any():
-                return 0
-        assert mask is not None
-        return int(mask.sum())
+        """Bitset count of one code-run row (the per-source fallback of
+        the batch kernel)."""
+        return _count_and(
+            self.run_words(attribute, attr_runs)
+            for attribute, attr_runs in zip(attributes, runs)
+        )
 
     # -- radix keys -------------------------------------------------------------
 
@@ -771,6 +856,7 @@ class PatternCounter:
             source.clear()
 
     def _drop_merged_caches(self) -> None:
+        self._total_rows: int | None = None
         self._value_counts: dict[str, dict[Hashable, int]] = {}
         self._fractions: dict[str, np.ndarray] = {}
         self._label_sizes: dict[tuple[str, ...], int] = {}
@@ -779,11 +865,14 @@ class PatternCounter:
             tuple[str, ...], tuple[np.ndarray, np.ndarray]
         ] = {}
         # attribute set -> merged KeyTable, or None when the radix over
-        # the set overflows 64 bits (the mask path answers those).
+        # the set overflows 64 bits (the bitset path answers those).
         self._key_tables: dict[tuple[str, ...], KeyTable | None] = {}
         # attribute set -> equality batches seen (a single source answers
         # its first batch without building the key table).
         self._key_queries: dict[tuple[str, ...], int] = {}
+        # attribute -> the sources' per-code row bitsets concatenated
+        # along the words (K > 1; None for a domain too wide to cache).
+        self._bitsets: dict[str, np.ndarray | None] = {}
 
     # -- thread pool ---------------------------------------------------------------
 
@@ -870,7 +959,9 @@ class PatternCounter:
     @property
     def total_rows(self) -> int:
         """``|D|`` summed over sources (pack shards stay unmapped)."""
-        return sum(source.rows for source in self._sources)
+        if self._total_rows is None:
+            self._total_rows = sum(source.rows for source in self._sources)
+        return self._total_rows
 
     def __repr__(self) -> str:
         return (
@@ -881,13 +972,38 @@ class PatternCounter:
     # -- counting -----------------------------------------------------------------
 
     def count(self, pattern: Pattern) -> int:
-        """Exact count ``c_D(p)`` by vectorized mask intersection.
+        """Exact count ``c_D(p)`` by row-bitset intersection.
 
         The scalar reference path of the batch kernels, for equality and
-        range bindings alike (see :meth:`RowSource.count`), summed over
-        the sources.
+        range bindings alike (see :meth:`RowSource.count`).  Over K > 1
+        sources it ANDs the concatenation of the sources' bitsets — each
+        source's block is word-aligned with zero padding — so a pattern
+        costs ``arity`` ANDs over ``ceil(rows / 64)`` words whatever K
+        is, and builds no key table.
         """
-        return sum(source.count(pattern) for source in self._sources)
+        runs = _pattern_runs(self._schema, pattern)
+        return _count_and(
+            self._run_words(attribute, attr_runs)
+            for attribute, attr_runs in zip(pattern.attributes, runs)
+        )
+
+    def _run_words(
+        self, attribute: str, runs: Sequence[tuple[int, int]]
+    ) -> np.ndarray:
+        """:meth:`RowSource.run_words` over all sources, in row order."""
+        if len(self._sources) == 1:
+            return self._sources[0].run_words(attribute, runs)
+        if attribute not in self._bitsets:
+            parts = [s.code_bitsets(attribute) for s in self._sources]
+            self._bitsets[attribute] = (
+                None if parts[0] is None else np.concatenate(parts, axis=1)
+            )
+        bitsets = self._bitsets[attribute]
+        if bitsets is None:
+            return np.concatenate(
+                [source.run_words(attribute, runs) for source in self._sources]
+            )
+        return _or_runs(bitsets, runs)
 
     def _cards(self, attributes: tuple[str, ...]) -> list[int]:
         return [self._schema[a].cardinality for a in attributes]
@@ -898,7 +1014,7 @@ class PatternCounter:
         The per-source tables (each cached by its source) are built in
         the calling thread or on the thread pool, then sum-merged.
         ``None`` when the radix encoding over ``attrs`` overflows 64
-        bits — callers fall back to the mask path.
+        bits — callers fall back to the bitset path.
         """
         if attrs not in self._key_tables:
             table = None
@@ -937,7 +1053,7 @@ class PatternCounter:
         against them with ``searchsorted`` + ``np.bincount`` — one data
         pass instead of an ``O(n log n)`` sort — and repeat batches
         promote the set to a key table.  Combinations absent from the
-        data count 0.  Falls back to the scalar mask path only when the
+        data count 0.  Falls back to the scalar bitset path only when the
         attribute set's radix product overflows 64 bits.
         """
         attrs = tuple(attributes)
@@ -995,7 +1111,7 @@ class PatternCounter:
         costs two ``searchsorted`` probes — a contiguous range is as
         cheap as an equality.  Patterns whose non-terminal range
         attributes would expand past the fanout cap, and attribute sets
-        whose radix product overflows 64 bits, fall back to the mask
+        whose radix product overflows 64 bits, fall back to the bitset
         path, summed over sources (on the thread pool with
         ``parallel=True``).
         """
@@ -1005,19 +1121,19 @@ class PatternCounter:
             return np.zeros(0, dtype=np.int64)
         table = self._key_table(attrs)
         if table is None:
-            return self._count_runs_by_mask(attrs, runs_rows)
+            return self._count_runs_per_source(attrs, runs_rows)
         seg_lo, seg_hi, owner, overflowed = expand_run_segments(
             runs_rows, self._cards(attrs)
         )
         out = np.zeros(len(runs_rows), dtype=np.int64)
         np.add.at(out, owner, table.range_sum(seg_lo, seg_hi))
         if overflowed:
-            out[overflowed] = self._count_runs_by_mask(
+            out[overflowed] = self._count_runs_per_source(
                 attrs, [runs_rows[j] for j in overflowed]
             )
         return out
 
-    def _count_runs_by_mask(
+    def _count_runs_per_source(
         self, attrs: tuple[str, ...], runs_rows: list
     ) -> np.ndarray:
         per_source = self._per_source(
@@ -1036,7 +1152,7 @@ class PatternCounter:
         segments against the same cached tables (see
         :meth:`counts_for_runs`).  Equivalent to ``[self.count(p) for p
         in patterns]`` — the scalar path stays as the parity reference —
-        but binary searches instead of one mask intersection per pattern.
+        but binary searches instead of one bitset intersection per pattern.
         """
         patterns = list(patterns)
         out = np.zeros(len(patterns), dtype=np.int64)

@@ -64,11 +64,17 @@ class PatternSet:
 
     @classmethod
     def from_patterns(
-        cls, counter: PatternCounter, patterns: Sequence[Pattern]
+        cls,
+        counter: PatternCounter,
+        patterns: Sequence[Pattern],
+        counts: Sequence[int] | None = None,
     ) -> "PatternSet":
-        """Explicit pattern set; true counts come from the batch kernel."""
+        """Explicit pattern set; true counts come from the batch kernel
+        unless the caller already took them (``counts``, aligned with
+        ``patterns``)."""
         patterns = list(patterns)
-        counts = counter.count_many(patterns)
+        if counts is None:
+            counts = counter.count_many(patterns)
         return cls(
             attributes=None,
             combos=None,

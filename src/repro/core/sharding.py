@@ -106,10 +106,7 @@ class ShardedDatasetView:
 
         Rows are numbered across shards in shard order — the same order
         ``non_missing_mask`` concatenates — and negative indices count
-        from the end.  This is what lets the workload samplers (and the
-        streaming drift monitor's sampled recounts) draw tuples straight
-        from a sharded deployment without materializing the
-        concatenation.
+        from the end; no concatenation is materialized.
         """
         n_rows = self.n_rows
         if not -n_rows <= index < n_rows:

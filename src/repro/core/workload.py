@@ -23,6 +23,7 @@ so labels can be *optimized for the queries that will actually be asked*.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 import numpy as np
@@ -30,8 +31,10 @@ import numpy as np
 from repro.core.counts import PatternCounter
 from repro.core.pattern import Pattern, Predicate
 from repro.core.patternsets import PatternSet
+from repro.dataset.schema import MISSING_CODE
 
 __all__ = [
+    "draw_tuple_patterns",
     "random_pattern_workload",
     "random_mixed_workload",
     "arity_pattern_set",
@@ -67,27 +70,34 @@ def random_pattern_workload(
         Inclusive bounds on the number of bound attributes; ``max_arity``
         defaults to the full attribute count.
     """
-    patterns = _draw_tuple_patterns(
+    patterns = draw_tuple_patterns(
         counter, n_patterns, rng, min_arity=min_arity, max_arity=max_arity
     )
     return PatternSet.from_patterns(counter, patterns)
 
 
-def _draw_tuple_patterns(
+def draw_tuple_patterns(
     counter: PatternCounter,
     n_patterns: int,
     rng: np.random.Generator,
     *,
-    min_arity: int,
-    max_arity: int | None,
+    min_arity: int = 1,
+    max_arity: int | None = None,
 ) -> list[Pattern]:
-    """The shared tuple-sampling loop behind the workload generators."""
+    """The tuple-sampling loop behind the workload generators.
+
+    The patterns of :func:`random_pattern_workload` without their
+    counts.  Each draw reads its row's codes straight from the owning
+    source's code matrix (found by bisecting the sources' cumulative row
+    counts) instead of materializing the row.
+    """
     if n_patterns < 1:
         raise ValueError("n_patterns must be positive")
-    dataset = counter.dataset
-    if dataset.n_rows == 0:
+    n_rows = counter.total_rows
+    if n_rows == 0:
         raise ValueError("cannot draw a workload from an empty dataset")
-    names = dataset.attribute_names
+    schema = counter.schema
+    names = schema.names
     if max_arity is None:
         max_arity = len(names)
     if not 1 <= min_arity <= max_arity <= len(names):
@@ -95,6 +105,10 @@ def _draw_tuple_patterns(
             f"need 1 <= min_arity <= max_arity <= {len(names)}, got "
             f"[{min_arity}, {max_arity}]"
         )
+    sources = counter.sources
+    matrices = [source.dataset.codes_matrix() for source in sources]
+    ends = list(itertools.accumulate(source.rows for source in sources))
+    categories = [column.categories for column in schema]
 
     patterns: list[Pattern] = []
     attempts = 0
@@ -105,14 +119,18 @@ def _draw_tuple_patterns(
                 "could not draw enough fully-present tuples; the data is "
                 "dominated by missing values"
             )
-        row = dataset.row(int(rng.integers(0, dataset.n_rows)))
-        present = [a for a in names if row[a] is not None]
+        index = int(rng.integers(0, n_rows))
+        shard = bisect.bisect_right(ends, index)
+        start = ends[shard - 1] if shard else 0
+        codes = matrices[shard][index - start].tolist()
+        present = [j for j, code in enumerate(codes) if code != MISSING_CODE]
         if len(present) < min_arity:
             continue
         arity = int(rng.integers(min_arity, min(max_arity, len(present)) + 1))
         chosen = rng.choice(len(present), size=arity, replace=False)
+        bound = [present[i] for i in chosen]
         patterns.append(
-            Pattern({present[i]: row[present[i]] for i in chosen})
+            Pattern({names[j]: categories[j][codes[j]] for j in bound})
         )
     return patterns
 
@@ -155,7 +173,7 @@ def random_mixed_workload(
     """
     if not 0.0 <= range_share <= 1.0:
         raise ValueError("range_share must be within [0, 1]")
-    drawn = _draw_tuple_patterns(
+    drawn = draw_tuple_patterns(
         counter, n_patterns, rng, min_arity=min_arity, max_arity=max_arity
     )
     schema = counter.dataset.schema

@@ -39,6 +39,7 @@ import re
 import socket
 import threading
 import time
+from collections import abc
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
@@ -103,19 +104,21 @@ def _rows_dataset(
             "{attribute: value} row objects"
         )
     attributes = snapshot.artifact.attribute_order
+    expected = set(attributes)
     rows = []
     for position, entry in enumerate(entries):
-        if not isinstance(entry, Mapping):
+        # The abc (not typing) Mapping: its isinstance check runs in C.
+        if not isinstance(entry, abc.Mapping):
             raise BadRequestError(
                 f"'{field}' row {position} must be a JSON object, got "
                 f"{entry!r}"
             )
-        if set(entry) != set(attributes):
+        if entry.keys() != expected:
             raise BadRequestError(
                 f"'{field}' row {position} must bind exactly the label's "
                 f"attributes {sorted(attributes)}, got {sorted(entry)}"
             )
-        rows.append(tuple(entry[attribute] for attribute in attributes))
+        rows.append(tuple([entry[attribute] for attribute in attributes]))
     return Dataset.from_rows(list(attributes), rows)
 
 

@@ -31,8 +31,9 @@ from typing import Callable
 import numpy as np
 
 from repro.core.errors import evaluate_label
+from repro.core.patternsets import PatternSet
 from repro.core.search import SearchResult, anytime_search
-from repro.core.workload import random_pattern_workload
+from repro.core.workload import draw_tuple_patterns
 from repro.stream.wal import StreamError
 
 __all__ = ["DriftMonitor", "DriftStatus"]
@@ -117,11 +118,22 @@ class DriftMonitor:
     # -- checking ---------------------------------------------------------------
 
     def _sampled_error(self, label) -> float:
+        """Max error of ``label`` on this check's tuple sample.
+
+        The sample is :func:`~repro.core.workload.random_pattern_workload`'s
+        for the same seed, but counted pattern by pattern on the
+        counter's row bitsets: a one-off sample touches ~200 attribute
+        sets, and the batch kernel would build (and keep) a key table
+        for each of them on every source.
+        """
         counter = self._counter()
         rng = np.random.default_rng(self._seed + self._checks)
-        max_arity = min(4, len(counter.dataset.attribute_names))
-        workload = random_pattern_workload(
+        max_arity = min(4, len(counter.schema))
+        patterns = draw_tuple_patterns(
             counter, self._sample, rng, min_arity=1, max_arity=max_arity
+        )
+        workload = PatternSet.from_patterns(
+            counter, patterns, [counter.count(p) for p in patterns]
         )
         return evaluate_label(counter, label, workload).max_abs
 

@@ -50,11 +50,14 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.api.registry import StreamConfig
 from repro.core.counts import PatternCounter
 from repro.core.label import Label, build_label
 from repro.core.maintenance import apply_deletes, apply_inserts
-from repro.dataset.schema import Schema
+from repro.core.sharding import _concat_all
+from repro.dataset.schema import MISSING_CODE, Schema
 from repro.dataset.table import Dataset
 from repro.persist.pack import write_pack
 from repro.stream.drift import DriftMonitor, DriftStatus
@@ -67,6 +70,9 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 
 __all__ = ["IngestStatus", "StreamIngestor"]
 
+#: Lookup entry of a batch category the counter's domain lacks.
+_UNKNOWN_CODE = -2
+
 
 def _align_for_counter(rows: Dataset, schema: Schema) -> Dataset | None:
     """Re-encode a batch into the counter's exact schema.
@@ -74,22 +80,25 @@ def _align_for_counter(rows: Dataset, schema: Schema) -> Dataset | None:
     ``add_shard`` requires schema *equality* (same attribute order, same
     domains) so per-shard code matrices stay mergeable.  A batch built
     by :meth:`Dataset.from_rows` infers its own observed domains, so it
-    is re-encoded here with the counter's domains pinned.  Returns
-    ``None`` when the batch carries a value outside the counter's
-    frozen domains — the caller detaches the counter.
+    is re-encoded here a column at a time: each batch category maps to
+    its counter code, and the batch's codes gather through that lookup
+    (code ``-1`` indexes its last entry, ``-1``).  Returns ``None`` when
+    a row carries a value outside the counter's frozen domains — the
+    caller detaches the counter.
     """
-    names = [column.name for column in schema]
-    projected = rows.select(names)
-    if projected.schema == schema:
-        return projected
-    try:
-        return Dataset.from_rows(
-            names,
-            ([row[name] for name in names] for row in projected.iter_rows()),
-            domains={column.name: column.categories for column in schema},
-        )
-    except KeyError:
-        return None
+    if rows.schema == schema:
+        return rows
+    matrix = np.empty((rows.n_rows, len(schema)), dtype=np.int32)
+    for j, column in enumerate(schema):
+        codes = [
+            column.code_of(value) if value in column else _UNKNOWN_CODE
+            for value in rows.schema[column.name].categories
+        ]
+        lookup = np.array(codes + [MISSING_CODE], dtype=np.int32)
+        matrix[:, j] = lookup[rows.codes(column.name)]
+        if _UNKNOWN_CODE in codes and (matrix[:, j] == _UNKNOWN_CODE).any():
+            return None
+    return Dataset(schema, matrix, copy=False)
 
 
 @dataclass(frozen=True)
@@ -447,9 +456,7 @@ class StreamIngestor:
             tail = list(counter.sources[self._base_shards:])
         if len(tail) < 2:
             return
-        merged_rows = tail[0].dataset
-        for shard in tail[1:]:
-            merged_rows = merged_rows.concat(shard.dataset)
+        merged_rows = _concat_all([shard.dataset for shard in tail])
         with self._lock:
             counter = self._counter
             if counter is None:

@@ -73,13 +73,18 @@ class WalError(StreamError):
 
 def _dataset_rows(
     dataset: Dataset, attributes: Sequence[str]
-) -> list[list[Hashable]]:
-    """Row value arrays in ``attributes`` order (missing values → None)."""
-    projected = dataset.select(list(attributes))
-    return [
-        [row[attribute] for attribute in attributes]
-        for row in projected.iter_rows()
-    ]
+) -> tuple[tuple[Hashable, ...], ...]:
+    """Row value tuples in ``attributes`` order (missing values → None).
+
+    Decoded a column at a time: the column's categories with ``None``
+    appended form a lookup list that code ``-1`` indexes from the end.
+    """
+    columns = []
+    for attribute in attributes:
+        values = [*dataset.schema[attribute].categories, None]
+        codes = dataset.codes(attribute).tolist()
+        columns.append([values[code] for code in codes])
+    return tuple(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -305,16 +310,12 @@ class WriteAheadLog:
             label=label,
             attributes=attributes,
             inserted=(
-                tuple(
-                    tuple(row) for row in _dataset_rows(inserted, attributes)
-                )
+                _dataset_rows(inserted, attributes)
                 if inserted is not None
                 else None
             ),
             deleted=(
-                tuple(
-                    tuple(row) for row in _dataset_rows(deleted, attributes)
-                )
+                _dataset_rows(deleted, attributes)
                 if deleted is not None
                 else None
             ),

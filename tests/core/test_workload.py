@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import (
+    Dataset,
+    Pattern,
     PatternCounter,
     build_label,
     evaluate_label,
@@ -16,6 +18,51 @@ from repro.core.workload import (
     marginals_pattern_set,
     random_pattern_workload,
 )
+
+
+def _row_dict_draws(counter, n_patterns, rng, *, min_arity, max_arity):
+    """The tuple sampler's row-dict loop — one ``dataset.row`` per draw —
+    kept as the reference the code-matrix sampler must reproduce draw
+    for draw."""
+    dataset = counter.dataset
+    names = dataset.attribute_names
+    if max_arity is None:
+        max_arity = len(names)
+    patterns = []
+    while len(patterns) < n_patterns:
+        row = dataset.row(int(rng.integers(0, dataset.n_rows)))
+        present = [a for a in names if row[a] is not None]
+        if len(present) < min_arity:
+            continue
+        arity = int(rng.integers(min_arity, min(max_arity, len(present)) + 1))
+        chosen = rng.choice(len(present), size=arity, replace=False)
+        patterns.append(
+            Pattern({present[i]: row[present[i]] for i in chosen})
+        )
+    return patterns
+
+
+def _sparse_relation(seed: int, missing: bool) -> Dataset:
+    """200 rows over five attributes of mixed value types; with
+    ``missing`` about a quarter of the cells are ``None``."""
+    rng = np.random.default_rng(seed)
+    domains = {
+        "s": ["x", "y", "z"],
+        "i": [1, 2, 3, 4],
+        "f": [0.5, 1.5],
+        "b": [True, False],
+        "t": ["p", "q", "r", "u", "v"],
+    }
+    columns = {}
+    for name, domain in domains.items():
+        values = [domain[j] for j in rng.integers(0, len(domain), 200)]
+        if missing:
+            values = [
+                None if drop else value
+                for value, drop in zip(values, rng.random(200) < 0.25)
+            ]
+        columns[name] = values
+    return Dataset.from_columns(columns)
 
 
 class TestRandomWorkload:
@@ -60,6 +107,34 @@ class TestRandomWorkload:
         )
         with pytest.raises(ValueError, match="empty"):
             random_pattern_workload(PatternCounter(empty), 5, rng)
+
+
+class TestTupleSampler:
+    @pytest.mark.parametrize("missing", [False, True])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("arity", [(1, None), (2, 3), (4, 5)])
+    def test_code_matrix_draws_match_row_dict_draws(self, k, missing, arity):
+        min_arity, max_arity = arity
+        data = _sparse_relation(k, missing)
+        counter = PatternCounter.from_dataset(data, k)
+        for seed in range(4):
+            workload = random_pattern_workload(
+                counter,
+                64,
+                np.random.default_rng(seed),
+                min_arity=min_arity,
+                max_arity=max_arity,
+            )
+            expected = _row_dict_draws(
+                counter,
+                64,
+                np.random.default_rng(seed),
+                min_arity=min_arity,
+                max_arity=max_arity,
+            )
+            assert [
+                workload.pattern(i) for i in range(len(workload))
+            ] == expected
 
 
 class TestArityPatternSet:

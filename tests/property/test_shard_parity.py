@@ -171,12 +171,42 @@ def test_add_shard_equals_concat(data_strategy):
         )
 
 
+#: Wider than the domains whose row bitsets a source caches, so a
+#: binding on this column packs its mask per query.
+WIDE_CARDINALITY = 40
+
+
+def _with_wide_column(data_strategy, data: Dataset, allow_missing: bool):
+    """``data`` plus a column ``W`` of cardinality ``WIDE_CARDINALITY``
+    (zero-padded values, so its ``repr`` order is its value order)."""
+    domain = tuple(f"w{j:02d}" for j in range(WIDE_CARDINALITY))
+    values = data_strategy.draw(
+        st.lists(
+            st.sampled_from(list(domain) + ([None] if allow_missing else [])),
+            min_size=data.n_rows,
+            max_size=data.n_rows,
+        )
+    )
+    return data.with_column("W", values, domain=domain)
+
+
 @SETTINGS
-@given(st.data(), st.booleans())
-def test_mixed_range_counts_match_single_counter(data_strategy, allow_missing):
-    """Mixed equality/range workloads: sharded == single == brute force."""
+@given(st.data(), st.booleans(), st.booleans())
+def test_mixed_range_counts_match_single_counter(
+    data_strategy, allow_missing, wide
+):
+    """Mixed equality/range workloads: sharded == single == brute force,
+    through the batch kernel and the bitset path alike — with a column
+    too wide for cached bitsets when ``wide``."""
     data = data_strategy.draw(datasets(allow_missing=allow_missing))
+    if wide:
+        data = _with_wide_column(data_strategy, data, allow_missing)
     patterns = data_strategy.draw(mixed_workloads(data))
+    if wide:
+        patterns += [
+            Pattern({"W": "w03"}),
+            Pattern({"W": Predicate(">=", "w30"), "A0": "v0"}),
+        ]
     brute = [_brute_count(data, p) for p in patterns]
     single = PatternCounter(data)
     assert list(single.count_many(patterns)) == brute
@@ -185,6 +215,7 @@ def test_mixed_range_counts_match_single_counter(data_strategy, allow_missing):
         assert list(sharded.count_many(patterns)) == brute, k
         # Repeat batch: merged key tables and cumsums stay identical.
         assert list(sharded.count_many(patterns)) == brute, k
+        assert [sharded.count(p) for p in patterns] == brute, k
 
 
 # -- parity across parallel execution modes -------------------------------------

@@ -9,7 +9,9 @@ import pytest
 
 from repro import StreamConfig
 from repro.core.counts import PatternCounter
+from repro.core.errors import evaluate_label
 from repro.core.label import build_label
+from repro.core.workload import random_pattern_workload
 from repro.dataset.table import Dataset
 from repro.stream import DriftMonitor, StreamError, StreamIngestor, WriteAheadLog
 
@@ -68,6 +70,79 @@ class TestCheck:
             DriftMonitor(counter, threshold=0.5)
         with pytest.raises(StreamError, match="sample"):
             DriftMonitor(counter, sample=0)
+
+
+#: Six attributes with pinned domains, so every batch drawn by
+#: :func:`_relation` shares one schema and can become a counter shard.
+DOMAINS = {
+    "a": tuple(range(5)),
+    "b": ("u", "v", "w"),
+    "c": (0.5, 1.5),
+    "d": tuple(range(7)),
+    "e": (True, False),
+    "f": ("p", "q", "r", "s"),
+}
+
+
+def _relation(rng, n: int, missing: bool) -> Dataset:
+    """``n`` random rows over :data:`DOMAINS`; with ``missing`` about a
+    fifth of the cells are ``None``."""
+    columns = {}
+    for name, domain in DOMAINS.items():
+        values = [domain[j] for j in rng.integers(0, len(domain), n)]
+        if missing:
+            values = [
+                None if drop else value
+                for value, drop in zip(values, rng.random(n) < 0.2)
+            ]
+        columns[name] = values
+    return Dataset.from_columns(columns, domains=DOMAINS)
+
+
+class TestSampledRecount:
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_error_equals_batch_kernel_recount(self, missing):
+        """Each check scores the label on the workload
+        ``random_pattern_workload`` draws for the check's seed, counted
+        by the batch kernel — across shards added between checks."""
+        rng = np.random.default_rng(21)
+        counter = PatternCounter.from_dataset(_relation(rng, 400, missing), 3)
+        label = build_label(counter, ("a", "b"))
+        seed, sample = 7, 128
+        monitor = DriftMonitor(counter, sample=sample, seed=seed)
+        max_arity = min(4, len(DOMAINS))
+        for i in range(6):
+            status = monitor.check(label)
+            workload = random_pattern_workload(
+                counter,
+                sample,
+                np.random.default_rng(seed + i),
+                min_arity=1,
+                max_arity=max_arity,
+            )
+            expected = evaluate_label(counter, label, workload).max_abs
+            assert status.error == expected, i
+            counter.add_shard(_relation(rng, 50, missing))
+
+    def test_checks_cache_only_the_label_subsets(self):
+        """A sampled recount builds no key table for the attribute sets
+        it samples: after 20 checks the merged and per-source caches
+        hold subsets of the label's attributes only."""
+        rng = np.random.default_rng(22)
+        counter = PatternCounter.from_dataset(_relation(rng, 400, False), 2)
+        label = build_label(counter, ("a", "b"))
+        monitor = DriftMonitor(counter)
+        for _ in range(20):
+            counter.add_shard(_relation(rng, 50, False))
+            monitor.check(label)
+        allowed = set(label.attributes)
+        caches = [counter._key_tables]
+        caches += [source._key_tables for source in counter.sources]
+        assert counter._key_tables  # the label's own subsets are cached
+        for cache in caches:
+            assert all(set(attrs) <= allowed for attrs in cache), sorted(
+                cache
+            )
 
 
 class TestResearch:

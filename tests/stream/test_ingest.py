@@ -13,6 +13,7 @@ from repro.core.maintenance import apply_deletes, apply_inserts
 from repro.core.pattern import Pattern
 from repro.dataset.table import Dataset
 from repro.stream import StreamError, StreamIngestor, WriteAheadLog
+from repro.stream.ingest import _align_for_counter
 
 pytestmark = pytest.mark.stream
 
@@ -124,6 +125,61 @@ class TestWritePath:
         # The stream keeps flowing label-only.
         follow = ingestor.submit(inserted=Dataset.from_rows(ATTRS, [[0, 0, 0]]))
         assert follow.seq == 2
+
+
+def _pinned_rebuild(rows: Dataset, schema) -> Dataset:
+    """The batch rebuilt row by row with the counter's domains pinned —
+    the reference the column-wise re-encode must reproduce."""
+    names = [column.name for column in schema]
+    return Dataset.from_rows(
+        names,
+        ([row[n] for n in names] for row in rows.select(names).iter_rows()),
+        domains={column.name: column.categories for column in schema},
+    )
+
+
+class TestAlignForCounter:
+    SCHEMA = Dataset.from_columns(
+        {"a": [0], "b": ["x"], "c": [True]},
+        domains={"a": (0, 1, 2, 3), "b": ("x", "y", "z"), "c": (True, False)},
+    ).schema
+
+    def test_codes_equal_pinned_domain_rebuild(self):
+        # Observed domains, another column order, and missing values.
+        batch = Dataset.from_rows(
+            ["c", "b", "a"],
+            [[False, "z", 3], [None, "x", 1], [True, None, None],
+             [False, "z", 1]],
+        )
+        aligned = _align_for_counter(batch, self.SCHEMA)
+        reference = _pinned_rebuild(batch, self.SCHEMA)
+        assert aligned.schema == self.SCHEMA
+        assert np.array_equal(aligned.codes_matrix(), reference.codes_matrix())
+
+    def test_matching_schema_passes_through(self):
+        batch = Dataset.from_rows(
+            ["a", "b", "c"], [[2, "y", True]],
+            domains={c.name: c.categories for c in self.SCHEMA},
+        )
+        assert _align_for_counter(batch, self.SCHEMA) == batch
+
+    def test_out_of_domain_value_returns_none(self):
+        batch = Dataset.from_rows(
+            ["a", "b", "c"], [[1, "x", True], [9, "y", False]]
+        )
+        assert _align_for_counter(batch, self.SCHEMA) is None
+
+    def test_unused_foreign_category_still_aligns(self):
+        # The batch's domain holds a value the counter lacks, but no row
+        # carries it — the pinned rebuild encodes the batch, and so must
+        # the re-encode.
+        batch = Dataset.from_columns(
+            {"a": [1, 2], "b": ["x", "y"], "c": [True, True]},
+            domains={"a": (1, 2, 99), "b": ("x", "y"), "c": (True,)},
+        )
+        aligned = _align_for_counter(batch, self.SCHEMA)
+        reference = _pinned_rebuild(batch, self.SCHEMA)
+        assert np.array_equal(aligned.codes_matrix(), reference.codes_matrix())
 
 
 class TestCompaction:
