@@ -59,7 +59,7 @@ from repro.core.errors import ErrorSummary, Objective
 from repro.core.sharding import make_counter
 from repro.core.flexlabel import FlexibleLabel
 from repro.core.label import Label
-from repro.core.maintenance import apply_deletes, apply_inserts
+from repro.core.maintenance import apply_batch
 from repro.core.pattern import Pattern
 from repro.core.patternsets import PatternSet
 from repro.core.search import SearchResult
@@ -103,6 +103,8 @@ class LabelingSession:
         self._pack_path: Path | None = None
         # Options for resolving a pack-backed counter (from_pack only).
         self._counter_options: dict[str, Any] = {}
+        # Why update() dropped the counter, once it has.
+        self._detached: str | None = None
 
     # -- construction -----------------------------------------------------------
 
@@ -349,11 +351,20 @@ class LabelingSession:
     ) -> "LabelingSession":
         """Apply insert/delete batches to the label, exactly.
 
-        Wired to :mod:`repro.core.maintenance`: pattern and value counts
-        are additive, so the updated label is exactly ``L_S(D')`` for the
-        new data.  Only subset labels support exact maintenance — the
-        flexible label's overlapping counts cannot be updated from batch
-        deltas alone.
+        Wired to :func:`repro.core.maintenance.apply_batch`: pattern and
+        value counts are additive, so the updated label is exactly
+        ``L_S(D')`` for the new data.  Only subset labels support exact
+        maintenance — the flexible label's overlapping counts cannot be
+        updated from batch deltas alone.
+
+        The session's :attr:`counter` follows an insert batch exactly: it
+        becomes a new counter with the batch as one more shard (a
+        pack-backed counter stays mapped lazily; a counter obtained
+        earlier keeps counting the pre-update rows).  A delete batch, or
+        an inserted value outside the counter's domains, drops the
+        counter, and :meth:`to_pack` then names that reason.  The pack
+        the session came from describes the pre-update rows, so
+        :attr:`pack` is dropped either way.
 
         Safe to interleave with reads: the new label *and* its estimator
         are built off to the side and swapped in as one assignment, so a
@@ -375,17 +386,14 @@ class LabelingSession:
                 f"maintenance is only supported for subset labels, not "
                 f"{self.kind!r} artifacts"
             )
-        label = artifact
-        if inserted is not None:
-            label = apply_inserts(label, inserted)
-        if deleted is not None:
-            label = apply_deletes(label, deleted)
+        label, counter, detached = apply_batch(
+            artifact, self.counter, inserted=inserted, deleted=deleted
+        )
         # Atomic swap: every piece of the state changes together.
         self._state = (label, estimator_from_artifact(label), version + 1)
         self._result = None  # search stats no longer describe this label
-        # The counter (and any pack behind it) still profiles the
-        # *pre-update* data; detach rather than serve stale counts.
-        self._counter = None
+        self._counter = counter
+        self._detached = detached or self._detached
         self._pack = None
         self._pack_path = None
         return self
@@ -467,11 +475,12 @@ class LabelingSession:
         """Hand this session's label to the streaming ingestion pipeline.
 
         Builds a :class:`~repro.stream.ingest.StreamIngestor` over the
-        current label and (when the session has one) its live counting
-        backend: every subsequent batch is WAL-logged to ``wal_dir``
-        *before* it is applied, counted as an insert shard, and
-        published in one atomic snapshot swap — with background
-        compaction and drift-triggered re-search per ``config`` (a
+        current label and (when the session has one) its counting
+        backend: every subsequent batch is applied off to the side
+        (label plus a new counter with the batch as one more shard),
+        WAL-logged to ``wal_dir``, and only then made live and published
+        in one atomic snapshot swap — with background compaction and
+        drift-triggered re-search per ``config`` (a
         :class:`~repro.api.registry.StreamConfig`).
 
         Pass the store of a running
@@ -481,8 +490,10 @@ class LabelingSession:
         re-applied first (crash recovery).
 
         The ingestor owns the streamed state from here on — the session
-        itself is left untouched (its label stays at the pre-stream
-        version, like a handed-out :meth:`snapshot`).
+        itself is left untouched: its label stays at the pre-stream
+        version, like a handed-out :meth:`snapshot`, and its counter
+        keeps counting the pre-stream rows, so :meth:`to_pack` still
+        writes a consistent pack.
         """
         from repro.stream.ingest import StreamIngestor
         from repro.stream.wal import WriteAheadLog
@@ -555,6 +566,12 @@ class LabelingSession:
         from repro.persist.pack import write_pack
 
         counter = self.counter
+        if counter is None and self._detached is not None:
+            raise SessionError(
+                "this session has no counter state to pack — update() "
+                f"dropped it ({self._detached}); fit from the updated "
+                "data before packing"
+            )
         if counter is None:
             raise SessionError(
                 "this session has no counter state to pack — it was "

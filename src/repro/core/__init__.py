@@ -68,7 +68,7 @@ from repro.core.workload import (
     marginals_pattern_set,
 )
 from repro.core.maintenance import (
-    LabelMaintainer,
+    apply_batch,
     apply_inserts,
     apply_deletes,
 )
@@ -124,7 +124,7 @@ __all__ = [
     "random_pattern_workload",
     "arity_pattern_set",
     "marginals_pattern_set",
-    "LabelMaintainer",
+    "apply_batch",
     "apply_inserts",
     "apply_deletes",
     "pc_bytes",

@@ -45,9 +45,9 @@ tables for the new rows only; the counter caches the merged answers
 (plus fractions, label sizes and the concatenated row bitsets).  With
 ``parallel=True`` the per-source builds run on a thread pool the counter
 owns, one task per source, and merge in the calling thread.  Sources are
-immutable; to profile a new snapshot of evolving data, call
-:meth:`PatternCounter.rebind`, which swaps the rows *and* drops every
-cache — see :meth:`PatternCounter.invalidate_caches`.
+immutable, so no cached table ever goes stale: other rows mean another
+counter — :func:`repro.core.maintenance.apply_batch` builds one per
+insert batch over the old sources, sharing their tables.
 """
 
 from __future__ import annotations
@@ -358,16 +358,12 @@ class RowSource:
     the pack reader's sources (:mod:`repro.persist.pack`) map a shard
     file on first touch and adopt its persisted key and joint tables.
     Cached arrays are treated as immutable — mapped and computed entries
-    are interchangeable — and :meth:`clear` drops them all.
+    are interchangeable.
     """
 
     def __init__(self, dataset: Dataset | None) -> None:
         # None: a subclass that maps its rows on first access.
         self._dataset = dataset
-        self.clear()
-
-    def clear(self) -> None:
-        """Drop every table built over this source's rows."""
         # Per attribute: the code column widened to int64 plus its
         # presence mask, reused by every attribute set containing it.
         self._columns64: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -691,7 +687,6 @@ class PatternCounter:
         self._parallel = bool(parallel)
         self._max_workers = max_workers
         self._executor = None  # ThreadPoolExecutor, created lazily
-        self._view = None  # ShardedDatasetView, created lazily (K > 1)
         self._drop_merged_caches()
 
     # -- constructors -------------------------------------------------------------
@@ -813,7 +808,10 @@ class PatternCounter:
         their tables) are untouched; only the merged-layer caches are
         dropped and lazily re-merged from the per-source tables, most of
         which are already cached.  A 0-row batch is a no-op.  Returns
-        ``self``.
+        ``self``.  This grows the counter in place; update paths go
+        through :func:`~repro.core.maintenance.apply_batch`, which calls
+        it on a new counter so that no holder of the old one sees its
+        rows change.
         """
         if dataset.schema != self._schema:
             raise ValueError(
@@ -824,36 +822,6 @@ class PatternCounter:
         self._sources.append(RowSource(dataset))
         self._drop_merged_caches()
         return self
-
-    def rebind(self, dataset: Dataset) -> "PatternCounter":
-        """Point this counter at a new snapshot and drop every cache.
-
-        This is the maintenance hook: :class:`~repro.core.maintenance`
-        evolves the relation through insert/delete batches, and a counter
-        carried across those updates would otherwise keep serving
-        fractions, label sizes and joint tables of the *old* snapshot.
-        The shard count is kept; prefer :meth:`add_shard` for
-        append-only evolution.  Returns ``self`` for chaining.
-        """
-        self._sources = [
-            RowSource(shard)
-            for shard in _partition(dataset, len(self._sources))
-        ]
-        self._schema = dataset.schema
-        self._drop_merged_caches()
-        return self
-
-    def invalidate_caches(self) -> None:
-        """Drop every derived cache: merged answers and per-source tables.
-
-        Datasets are immutable, so a counter over unchanged rows never
-        needs this for correctness (:meth:`rebind` and :meth:`add_shard`
-        drop what a row change stales); it returns the memory and forces
-        a cold recount.
-        """
-        self._drop_merged_caches()
-        for source in self._sources:
-            source.clear()
 
     def _drop_merged_caches(self) -> None:
         self._total_rows: int | None = None
@@ -947,14 +915,17 @@ class PatternCounter:
     def dataset(self):
         """The profiled dataset: the source's own
         :class:`~repro.dataset.table.Dataset` when K = 1, else a live,
-        read-only :class:`~repro.core.sharding.ShardedDatasetView`."""
+        read-only :class:`~repro.core.sharding.ShardedDatasetView`.
+
+        The view is built on each access, not cached: it holds nothing
+        but this counter, and a cached one would form a counter → view →
+        counter cycle that only the cyclic garbage collector frees,
+        together with every merged table the counter caches."""
         if len(self._sources) == 1:
             return self._sources[0].dataset
-        if self._view is None:
-            from repro.core.sharding import ShardedDatasetView
+        from repro.core.sharding import ShardedDatasetView
 
-            self._view = ShardedDatasetView(self)
-        return self._view
+        return ShardedDatasetView(self)
 
     @property
     def total_rows(self) -> int:

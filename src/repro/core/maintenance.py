@@ -2,36 +2,42 @@
 
 A published label describes a snapshot; real datasets grow.  Recomputing
 the optimal label on every append is wasteful (the search is the
-expensive part), so this module maintains an existing label *in place*:
+expensive part), so this module maintains an existing label
+copy-on-write:
 
 * :func:`apply_inserts` / :func:`apply_deletes` — update ``PC``, ``VC``
   and ``total`` exactly for a batch of inserted/deleted tuples.  The
   updated label is exactly ``L_S(D')`` for the new data ``D'``: counts
   are additive, so no approximation is involved — only the *choice* of
   ``S`` may go stale.
-* :class:`LabelMaintainer` — wraps a label with drift tracking: it
-  applies updates, re-evaluates the label's error periodically, and
-  reports when the error degrades past a configurable factor of the
-  error measured at (re)build time, signalling that a fresh search is
-  worthwhile.
+* :func:`apply_batch` — the one step every update path
+  (:class:`~repro.stream.ingest.StreamIngestor`,
+  :meth:`~repro.api.session.LabelingSession.update`,
+  :meth:`~repro.serve.store.LabelStore.update`) applies a batch with: it
+  maintains the label and, alongside it, an exact counter — a *new*
+  :class:`~repro.core.counts.PatternCounter` over the old row sources
+  plus the insert batch as one more source.  The counter it is given
+  never changes.
 
-This addresses the operational gap the paper leaves open between
-"generate the label once" and "datasets are living artifacts".
+Whether the choice of ``S`` went stale is the streaming drift check's
+question (:class:`~repro.stream.drift.DriftMonitor`), not this module's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable
 
+import numpy as np
+
 from repro.core.counts import PatternCounter
-from repro.core.errors import ErrorSummary, evaluate_label
 from repro.core.label import Label
-from repro.core.patternsets import full_pattern_set
-from repro.core.search import top_down_search
+from repro.dataset.schema import MISSING_CODE, Schema
 from repro.dataset.table import Dataset
 
-__all__ = ["apply_inserts", "apply_deletes", "LabelMaintainer"]
+__all__ = ["apply_inserts", "apply_deletes", "apply_batch"]
+
+#: Lookup entry of a batch category the counter's domain lacks.
+_UNKNOWN_CODE = -2
 
 
 def _require_label_attributes(label: Label, rows: Dataset) -> None:
@@ -166,135 +172,82 @@ def apply_deletes(label: Label, rows: Dataset) -> Label:
     )
 
 
-@dataclass
-class MaintenanceStatus:
-    """Outcome of one maintenance step."""
+def _align_for_counter(rows: Dataset, schema: Schema) -> Dataset | None:
+    """Re-encode a batch into the counter's exact schema.
 
-    label: Label
-    summary: ErrorSummary | None
-    stale: bool
-    rebuilt: bool
-
-
-class LabelMaintainer:
-    """Keep a label current as its dataset evolves.
-
-    Parameters
-    ----------
-    dataset:
-        The current relation.
-    bound:
-        Size budget used for (re)searches.
-    drift_factor:
-        The label is flagged stale when its max error exceeds
-        ``drift_factor`` × the error measured at the last (re)build, or
-        when its ``|PC|`` outgrows ``bound``.
-    check_every:
-        Error re-evaluation cadence, counted in update batches (error
-        evaluation touches the data; updates themselves do not).
-    shards:
-        With ``shards > 1`` the maintainer's counter is partitioned and
-        every insert batch becomes a *new shard*, so the existing
-        shards' tables (key tables, joint tables, value counts) survive
-        the update — the incremental path — instead of the full
-        rebind-and-recount a single-shard counter needs.
-    parallel:
-        Build per-shard joint tables on the counter's thread pool (only
-        meaningful with ``shards > 1``).
+    ``add_shard`` requires schema *equality* (same attribute order, same
+    domains) so per-shard code matrices stay mergeable.  A batch built
+    by :meth:`Dataset.from_rows` infers its own observed domains, so it
+    is re-encoded here a column at a time: each batch category maps to
+    its counter code, and the batch's codes gather through that lookup
+    (code ``-1`` indexes its last entry, ``-1``).  Returns ``None`` when
+    a row carries a value outside the counter's frozen domains —
+    :func:`apply_batch` then drops the counter.
     """
+    if rows.schema == schema:
+        return rows
+    matrix = np.empty((rows.n_rows, len(schema)), dtype=np.int32)
+    for j, column in enumerate(schema):
+        codes = [
+            column.code_of(value) if value in column else _UNKNOWN_CODE
+            for value in rows.schema[column.name].categories
+        ]
+        lookup = np.array(codes + [MISSING_CODE], dtype=np.int32)
+        matrix[:, j] = lookup[rows.codes(column.name)]
+        if _UNKNOWN_CODE in codes and (matrix[:, j] == _UNKNOWN_CODE).any():
+            return None
+    return Dataset(schema, matrix, copy=False)
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        bound: int,
-        *,
-        drift_factor: float = 2.0,
-        check_every: int = 4,
-        shards: int = 1,
-        parallel: bool = False,
-    ) -> None:
-        if drift_factor < 1.0:
-            raise ValueError("drift_factor must be >= 1")
-        if check_every < 1:
-            raise ValueError("check_every must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self._bound = bound
-        self._drift_factor = drift_factor
-        self._check_every = check_every
-        self._batches_since_check = 0
-        # One counter for the maintainer's lifetime.  Its caches
-        # (fractions, label sizes, joint/key tables) describe a snapshot,
-        # so every dataset change MUST go through _absorb_batch — reusing
-        # the counter across snapshots without it serves stale counts
-        # (the bug the rebind hook exists to prevent).  A multi-shard
-        # counter absorbs a batch as a fresh shard; a single-shard one
-        # rebinds to the concatenation and recounts.
-        self._counter = PatternCounter.from_dataset(
-            dataset, shards, parallel=parallel
+
+def apply_batch(
+    label: Label,
+    counter: PatternCounter | None,
+    *,
+    inserted: Dataset | None = None,
+    deleted: Dataset | None = None,
+) -> tuple[Label, PatternCounter | None, str | None]:
+    """Apply one update batch to a (label, counter) pair, copy-on-write.
+
+    Returns ``(label, counter, detach_reason)``.  The label is maintained
+    exactly — inserts first, then deletes.  The counter answers for the
+    updated rows: an insert batch becomes one more source of a **new**
+    counter over ``counter``'s sources (same thread-pool settings), so
+    ``counter`` itself never changes and whoever else holds it keeps
+    counting the rows it counted.  A batch with nothing to count returns
+    ``counter`` as it is.
+
+    The counter is dropped — returned as ``None`` together with the
+    reason — when it cannot follow the batch: a non-empty delete batch
+    (sources only ever gain rows), or an inserted value outside the
+    counter's frozen domains.  The label stays exact either way.  With
+    ``counter=None`` only the label is maintained, and no reason is
+    given.
+
+    Raises ``ValueError`` for a batch the maintenance operators reject
+    (wrong attributes, a delete of absent tuples); nothing has changed
+    then.
+    """
+    if inserted is not None:
+        label = apply_inserts(label, inserted)
+    if deleted is not None:
+        label = apply_deletes(label, deleted)
+    if counter is None:
+        return label, None, None
+    if deleted is not None and deleted.n_rows:
+        return label, None, (
+            "delete batch applied; insert-shard counters cannot fold deletes"
         )
-        self._rebuild()
-
-    def _absorb_batch(self, batch: Dataset) -> None:
-        if self._counter.n_shards > 1:
-            self._counter.add_shard(batch)
-        else:
-            self._counter.rebind(self._counter.dataset.concat(batch))
-
-    def _rebuild(self) -> None:
-        counter = self._counter
-        result = top_down_search(
-            counter, self._bound, pattern_set=full_pattern_set(counter)
+    if inserted is None or inserted.n_rows == 0:
+        return label, counter, None
+    aligned = _align_for_counter(inserted, counter.schema)
+    if aligned is None:
+        return label, None, (
+            "insert batch carries values outside the counter's frozen domains"
         )
-        self._label = result.label
-        self._baseline_error = max(result.summary.max_abs, 1.0)
-
-    @property
-    def label(self) -> Label:
-        """The currently maintained label."""
-        return self._label
-
-    @property
-    def dataset(self) -> Dataset:
-        """The current relation (a read-only shard view when sharded)."""
-        return self._counter.dataset
-
-    def insert(self, rows: Dataset) -> MaintenanceStatus:
-        """Apply an insert batch; periodically re-check drift.
-
-        Returns the updated label plus staleness/rebuild flags.  A stale
-        check that trips triggers an automatic re-search under the same
-        budget.  An empty batch neither changes the label nor counts
-        toward the drift-check cadence.
-        """
-        if rows.n_rows == 0:
-            return MaintenanceStatus(
-                label=self._label, summary=None, stale=False, rebuilt=False
-            )
-        self._absorb_batch(
-            rows.select(list(self._counter.dataset.attribute_names))
-        )
-        self._label = apply_inserts(self._label, rows)
-        self._batches_since_check += 1
-
-        summary = None
-        stale = self._label.size > self._bound
-        if stale or self._batches_since_check >= self._check_every:
-            self._batches_since_check = 0
-            counter = self._counter
-            summary = evaluate_label(
-                counter, self._label, full_pattern_set(counter)
-            )
-            stale = stale or (
-                summary.max_abs > self._drift_factor * self._baseline_error
-            )
-        rebuilt = False
-        if stale:
-            self._rebuild()
-            rebuilt = True
-        return MaintenanceStatus(
-            label=self._label,
-            summary=summary,
-            stale=stale,
-            rebuilt=rebuilt,
-        )
+    grown = PatternCounter(
+        counter.sources,
+        parallel=counter._parallel,
+        max_workers=counter._max_workers,
+    )
+    grown.add_shard(aligned)
+    return label, grown, None

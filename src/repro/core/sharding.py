@@ -17,9 +17,10 @@ Why shard:
   (the compact ``int32`` code shards do stay resident — memory scales
   with coded rows, well below the raw text but not unbounded);
 * **incremental maintenance** — an insert batch becomes a new shard
-  (:meth:`~repro.core.counts.PatternCounter.add_shard`): the existing
+  (:func:`~repro.core.maintenance.apply_batch`, through
+  :meth:`~repro.core.counts.PatternCounter.add_shard`): the existing
   shards' tables survive, only the cheap merged layer is recomputed,
-  instead of the full rebind-and-recount of a single-shard counter;
+  instead of a recount of the concatenated rows;
 * **parallel profiling** — per-shard table builds are independent, so
   with ``parallel=True`` they run on the counter's thread pool, one task
   per shard, and are merged in the calling thread, so labels stay

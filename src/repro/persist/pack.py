@@ -281,9 +281,8 @@ class _PackSource(RowSource):
     the rows, at which point the file's checksum is verified once and
     every persisted array is mapped read-only in place — the code matrix
     becomes the dataset, the key and joint tables seed this source's
-    caches.  The mapped tables are never written through; ``clear``
-    (maintenance, rebinding) simply drops them, and later tables are
-    computed in memory — copy-on-write at whole-cache granularity.
+    caches.  The mapped tables are never written through; tables the
+    pack lacks are computed in memory beside them.
     """
 
     def __init__(self, reader: "PackReader", entry: dict) -> None:

@@ -36,7 +36,7 @@ from repro.api.registry import estimate_many as _estimate_many
 from repro.api.registry import make_estimator
 from repro.core.flexlabel import FlexibleLabel
 from repro.core.label import Label
-from repro.core.maintenance import apply_deletes, apply_inserts
+from repro.core.maintenance import apply_batch
 from repro.core.pattern import Pattern
 from repro.dataset.table import Dataset
 from repro.serve.protocol import (
@@ -319,10 +319,10 @@ class LabelStore:
     ) -> LabelSnapshot:
         """Apply an insert/delete batch to ``name`` and publish the result.
 
-        Copy-on-write maintenance: :func:`apply_inserts` /
-        :func:`apply_deletes` build a *new* label, so every reader
-        holding the previous snapshot keeps answering from it
-        unchanged.  Only subset labels support exact maintenance.
+        Copy-on-write maintenance: :func:`apply_batch` builds a *new*
+        label, so every reader holding the previous snapshot keeps
+        answering from it unchanged.  Only subset labels support exact
+        maintenance.
         """
         if inserted is None and deleted is None:
             raise BadRequestError(
@@ -335,12 +335,13 @@ class LabelStore:
                     f"label {name!r} is of kind {snapshot.kind!r}; exact "
                     "maintenance is only supported for subset labels"
                 )
-            label = snapshot.artifact
             try:
-                if inserted is not None:
-                    label = apply_inserts(label, inserted)
-                if deleted is not None:
-                    label = apply_deletes(label, deleted)
+                label, _, _ = apply_batch(
+                    snapshot.artifact,
+                    None,
+                    inserted=inserted,
+                    deleted=deleted,
+                )
             except ValueError as exc:
                 raise BadRequestError(
                     f"update batch rejected for label {name!r}: {exc}"

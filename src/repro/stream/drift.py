@@ -156,9 +156,8 @@ class DriftMonitor:
     def check(self, label) -> DriftStatus:
         """One sampled recount of ``label`` against the live counter.
 
-        The first check establishes the baseline (clamped to >= 1, like
-        :class:`~repro.core.maintenance.LabelMaintainer`) and never
-        flags stale.
+        The first check establishes the baseline (clamped to >= 1) and
+        never flags stale.
         """
         error = self._sampled_error(label)
         self._checks += 1

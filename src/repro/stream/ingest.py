@@ -1,23 +1,25 @@
 """WAL-first streaming ingestion with background compaction.
 
 :class:`StreamIngestor` is the write path of the streaming subsystem.
-Every update batch goes through the same four steps, in order:
+Every update batch goes through the same three steps, in order:
 
-1. **Validate + maintain** — the new label is computed *first* with the
-   exact incremental operators (:func:`~repro.core.maintenance.apply_inserts`
-   / :func:`~repro.core.maintenance.apply_deletes`); a malformed batch
-   is rejected before anything durable happens.
+1. **Apply** — :func:`~repro.core.maintenance.apply_batch` builds the
+   whole new state off to the side: the label, maintained with the exact
+   incremental operators, and for an insert batch a *new*
+   :class:`~repro.core.counts.PatternCounter` with the batch as one more
+   shard (the existing shards and their tables are shared, not
+   changed).  A malformed batch is rejected before anything durable
+   happens.
 2. **Log** — the batch is appended to the
    :class:`~repro.stream.wal.WriteAheadLog` and fsynced.  From here on a
-   crash replays it.
-3. **Count** — an insert batch becomes a new shard of the live
-   :class:`~repro.core.counts.PatternCounter` via ``add_shard``
-   (existing shards' tables untouched).
-4. **Publish** — the maintained label replaces the served snapshot in
+   crash replays it; only now do the new label and counter become the
+   live state, together.
+3. **Publish** — the maintained label replaces the served snapshot in
    one atomic swap through :class:`~repro.stream.publish.LabelPublisher`.
 
 Readers never wait on any of it: the only reader-visible transition is
-the snapshot swap in step 4.
+the snapshot swap in step 3.  Recovery replays each WAL record through
+the same ``apply_batch``.
 
 **Compaction** runs off the reader *and* writer path.  Insert batches
 accumulate as many small shards, which slowly degrades merged-layer
@@ -37,11 +39,12 @@ triggers a budgeted background re-search whose winner is rebuilt from
 the *live* counter and hot-swapped through the same publish path.
 
 Batches that the counter's frozen schema cannot encode (a value outside
-the active domain) and delete batches **detach the counter**: the label
+the active domain) and delete batches **detach the counter**:
+``apply_batch`` returns no counter, and names the reason.  The label
 stays exact — the maintenance operators are value-level — but
-compaction, drift checks and re-search stop, since the counter no
-longer profiles the live relation.  The ingestor reports the detach
-reason rather than failing the stream.
+compaction, drift checks and re-search stop, since no counter profiles
+the live relation any more.  The ingestor reports the detach reason
+rather than failing the stream.
 """
 
 from __future__ import annotations
@@ -50,14 +53,11 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.api.registry import StreamConfig
 from repro.core.counts import PatternCounter
 from repro.core.label import Label, build_label
-from repro.core.maintenance import apply_deletes, apply_inserts
+from repro.core.maintenance import apply_batch
 from repro.core.sharding import _concat_all
-from repro.dataset.schema import MISSING_CODE, Schema
 from repro.dataset.table import Dataset
 from repro.persist.pack import write_pack
 from repro.stream.drift import DriftMonitor, DriftStatus
@@ -69,37 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.serve.store import LabelStore
 
 __all__ = ["IngestStatus", "StreamIngestor"]
-
-#: Lookup entry of a batch category the counter's domain lacks.
-_UNKNOWN_CODE = -2
-
-
-def _align_for_counter(rows: Dataset, schema: Schema) -> Dataset | None:
-    """Re-encode a batch into the counter's exact schema.
-
-    ``add_shard`` requires schema *equality* (same attribute order, same
-    domains) so per-shard code matrices stay mergeable.  A batch built
-    by :meth:`Dataset.from_rows` infers its own observed domains, so it
-    is re-encoded here a column at a time: each batch category maps to
-    its counter code, and the batch's codes gather through that lookup
-    (code ``-1`` indexes its last entry, ``-1``).  Returns ``None`` when
-    a row carries a value outside the counter's frozen domains — the
-    caller detaches the counter.
-    """
-    if rows.schema == schema:
-        return rows
-    matrix = np.empty((rows.n_rows, len(schema)), dtype=np.int32)
-    for j, column in enumerate(schema):
-        codes = [
-            column.code_of(value) if value in column else _UNKNOWN_CODE
-            for value in rows.schema[column.name].categories
-        ]
-        lookup = np.array(codes + [MISSING_CODE], dtype=np.int32)
-        matrix[:, j] = lookup[rows.codes(column.name)]
-        if _UNKNOWN_CODE in codes and (matrix[:, j] == _UNKNOWN_CODE).any():
-            return None
-    return Dataset(schema, matrix, copy=False)
-
 
 @dataclass(frozen=True)
 class IngestStatus:
@@ -136,11 +105,11 @@ class StreamIngestor:
         The write-ahead log.  Several ingestors may share one log;
         records are tagged with ``name``.
     counter:
-        The live exact counting backend over the labeled relation
-        (enables compaction + drift).  A plain
-        :class:`~repro.core.counts.PatternCounter` is wrapped as a
-        single-shard sharded counter; ``None`` runs label-only (the
-        serve ``--stream`` mode over loose artifacts).
+        The exact counting backend over the labeled relation (enables
+        compaction + drift); ``None`` runs label-only (the serve
+        ``--stream`` mode over loose artifacts).  It is never changed:
+        every insert batch yields a new counter over its sources plus
+        the batch.
     store / name / estimator / estimator_params:
         Forwarded to :class:`~repro.stream.publish.LabelPublisher`.
     config:
@@ -171,10 +140,8 @@ class StreamIngestor:
         self._compact_lock = threading.Lock()
         self._compact_thread: threading.Thread | None = None
         self._label = label
-        self._counter = self._own_counter(counter)
-        self._base_shards = (
-            self._counter.n_shards if self._counter is not None else 0
-        )
+        self._counter = counter
+        self._base_shards = counter.n_shards if counter is not None else 0
         self._detached: str | None = None
         self._last_seq = 0
         self._applied = 0
@@ -190,15 +157,6 @@ class StreamIngestor:
         if replay:
             self._replay()
         self._publisher.publish(self._label)
-
-    @staticmethod
-    def _own_counter(counter: PatternCounter | None) -> PatternCounter | None:
-        """The counter insert batches grow (``add_shard``): a single-shard
-        counter — typically the fit session's — is wrapped in a fresh
-        counter over the same source instead of being grown in place."""
-        if counter is None or counter.n_shards > 1:
-            return counter
-        return PatternCounter(counter.sources)
 
     def _make_drift_monitor(self) -> DriftMonitor | None:
         config = self._config
@@ -285,54 +243,34 @@ class StreamIngestor:
         """Re-apply this label's WAL records without re-logging them."""
         with self._lock:
             for record in self._wal.records(self._name):
-                inserted = record.inserted_dataset()
-                deleted = record.deleted_dataset()
-                label = self._label
-                if inserted is not None:
-                    label = apply_inserts(label, inserted)
-                if deleted is not None:
-                    label = apply_deletes(label, deleted)
-                self._apply_to_counter(inserted, deleted)
-                self._label = label
-                self._last_seq = record.seq
-                self._applied += 1
+                state = apply_batch(
+                    self._label,
+                    self._counter,
+                    inserted=record.inserted_dataset(),
+                    deleted=record.deleted_dataset(),
+                )
+                self._commit(state, record.seq)
 
     # -- the write path ---------------------------------------------------------
 
-    def _detach(self, reason: str) -> None:
-        self._counter = None
-        self._detached = reason
-
-    def _apply_to_counter(
-        self, inserted: Dataset | None, deleted: Dataset | None
+    def _commit(
+        self,
+        state: tuple[Label, PatternCounter | None, str | None],
+        seq: int,
     ) -> None:
-        """Keep the live counter in sync with a batch (or detach)."""
-        counter = self._counter
-        if counter is None:
-            return
-        if deleted is not None and deleted.n_rows:
-            self._detach(
-                "delete batch applied; insert-shard counters cannot "
-                "fold deletes"
-            )
-            return
-        if inserted is None or inserted.n_rows == 0:
-            return
-        aligned = _align_for_counter(inserted, counter.schema)
-        if aligned is None:
-            self._detach(
-                "insert batch carries values outside the counter's "
-                "frozen domains"
-            )
-            return
-        counter.add_shard(aligned)
+        """Make an applied batch's (label, counter, detach reason) the
+        live state; called under the ingest lock."""
+        self._label, self._counter, detached = state
+        self._detached = detached or self._detached
+        self._last_seq = seq
+        self._applied += 1
 
     def submit(
         self,
         inserted: Dataset | None = None,
         deleted: Dataset | None = None,
     ) -> IngestStatus:
-        """Apply one update batch: maintain, log, count, publish.
+        """Apply one update batch: apply, log, publish.
 
         Raises :class:`StreamError` for a batch the maintenance
         operators reject (wrong attributes, delete of absent tuples) —
@@ -343,12 +281,13 @@ class StreamIngestor:
                 "submit() needs at least one of inserted= or deleted="
             )
         with self._lock:
-            label = self._label
             try:
-                if inserted is not None:
-                    label = apply_inserts(label, inserted)
-                if deleted is not None:
-                    label = apply_deletes(label, deleted)
+                state = apply_batch(
+                    self._label,
+                    self._counter,
+                    inserted=inserted,
+                    deleted=deleted,
+                )
             except (KeyError, ValueError) as exc:
                 raise StreamError(f"batch rejected: {exc}") from exc
             record = self._wal.append(
@@ -357,11 +296,9 @@ class StreamIngestor:
                 inserted=inserted,
                 deleted=deleted,
             )
-            self._apply_to_counter(inserted, deleted)
-            self._label = label
+            self._commit(state, record.seq)
+            label = self._label
             snapshot = self._publisher.publish(label)
-            self._last_seq = record.seq
-            self._applied += 1
             compacting = self._should_compact() and self._start_compaction()
             drift = self._maybe_check_drift()
             status = IngestStatus(
@@ -477,10 +414,12 @@ class StreamIngestor:
         Called under the ingest lock (a checkpoint must capture a
         counter/label/seq triple no concurrent batch can split).  The
         pack write is crash-safe by itself, and the WAL truncate only
-        runs after it succeeds — a crash between the two merely replays
-        batches the pack already contains, which is idempotent only
-        because recovery starts from the pack, not from the pre-stream
-        artifact; the serve CLI prefers the pack when one exists.
+        runs after it succeeds.  A crash between the two is *not*
+        idempotent: the pack already holds batches the WAL still holds,
+        the pack does not record which WAL seq it covers, and recovering
+        from the pack plus a replay applies those batches twice (a
+        reproduction acknowledged 360 rows and recovered 420).  The fix
+        is open: ROADMAP.md, "Checkpoints that recover exactly once".
         """
         assert self._config.pack_dir is not None
         write_pack(

@@ -137,6 +137,41 @@ class TestUpdate:
         session.update(deleted=rows)
         assert session.estimate_many(workload) == before
 
+    @pytest.mark.parametrize("source", ["fit", "fit-3-shards", "pack"])
+    def test_insert_keeps_an_exact_counter(
+        self, figure2, workload, tmp_path, source
+    ):
+        shards = 3 if source == "fit-3-shards" else None
+        session = LabelingSession.fit(figure2, 5, shards=shards)
+        if source == "pack":
+            session = LabelingSession.from_pack(
+                session.to_pack(tmp_path / "pack")
+            )
+        rows = Dataset.from_rows(
+            list(figure2.attribute_names),
+            [("Female", "20-39", "Hispanic", "single")] * 3
+            + [("Male", "under 20", "Caucasian", "married")],
+        )
+        session.update(inserted=rows)
+        grown = Dataset.from_rows(
+            list(figure2.attribute_names),
+            [tuple(r.values()) for r in figure2.iter_rows()]
+            + [tuple(r.values()) for r in rows.iter_rows()],
+            domains={c.name: c.categories for c in figure2.schema},
+        )
+        fresh = PatternCounter(grown)
+        patterns = [workload.pattern(i) for i in range(len(workload))]
+        patterns += [Pattern(row) for row in rows.iter_rows()]
+        assert list(session.counter.count_many(patterns)) == list(
+            fresh.count_many(patterns)
+        )
+        assert session.counter.total_rows == figure2.n_rows + 4
+
+    def test_delete_drops_the_counter(self, figure2):
+        session = LabelingSession.fit(figure2, 5)
+        session.update(deleted=figure2.head(2))
+        assert session.counter is None
+
     def test_update_requires_a_batch(self, figure2):
         session = LabelingSession.fit(figure2, 5)
         with pytest.raises(SessionError, match="at least one"):

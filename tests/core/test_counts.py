@@ -195,62 +195,6 @@ class TestBatchCounting:
         assert (counts == single[1]).all()
 
 
-class TestCacheInvalidation:
-    """The stale-cache bug: caches must die when the counter rebinds.
-
-    Before the rebind hook existed, carrying one counter across a
-    maintenance insert/delete kept serving `_fractions`, `_label_sizes`
-    and joint/key tables of the *old* snapshot.  These tests pin the
-    fixed behavior.
-    """
-
-    def _small(self):
-        return Dataset.from_columns(
-            {"a": ["x", "x", "y"], "b": ["u", "v", "u"]}
-        )
-
-    def _grown(self):
-        return Dataset.from_columns(
-            {
-                "a": ["x", "x", "y", "y", "y", "y"],
-                "b": ["u", "v", "u", "v", "v", "w"],
-            }
-        )
-
-    def test_rebind_refreshes_all_derived_state(self):
-        counter = PatternCounter(self._small())
-        # Warm every cache family against the old snapshot.
-        assert counter.fraction("a", "x") == pytest.approx(2 / 3)
-        assert counter.label_size(("a", "b")) == 3
-        assert counter.count_many([Pattern({"a": "y"})])[0] == 1
-        assert counter.count_many([Pattern({"a": "y"})])[0] == 1
-        counter.joint_table(("a", "b"))
-        counter.distinct_full_rows()
-
-        counter.rebind(self._grown())
-
-        # Every answer must now describe the new snapshot; each of these
-        # fails against the stale caches.
-        assert counter.total_rows == 6
-        assert counter.fraction("a", "x") == pytest.approx(2 / 6)
-        assert counter.label_size(("a", "b")) == 5
-        assert counter.count_many([Pattern({"a": "y"})])[0] == 4
-        assert counter.value_count("b", "v") == 3
-        _, counts = counter.distinct_full_rows()
-        assert counts.sum() == 6
-
-    def test_invalidate_caches_alone_is_enough_for_same_data(self):
-        counter = PatternCounter(self._small())
-        before = counter.count_many([Pattern({"a": "x", "b": "u"})])
-        counter.invalidate_caches()
-        after = counter.count_many([Pattern({"a": "x", "b": "u"})])
-        assert list(before) == list(after)
-
-    def test_rebind_returns_self(self):
-        counter = PatternCounter(self._small())
-        assert counter.rebind(self._grown()) is counter
-
-
 class TestRadixOverflowFallback:
     """Attribute sets whose domain product overflows int64 must fall
     back to the scalar mask path — with identical counts."""

@@ -1,15 +1,9 @@
 """Tests for incremental label maintenance."""
 
-import numpy as np
 import pytest
 
-from repro import Dataset, PatternCounter, build_label
-from repro.core.maintenance import (
-    LabelMaintainer,
-    apply_deletes,
-    apply_inserts,
-)
-from repro.datasets import load_dataset
+from repro import Dataset, build_label
+from repro.core.maintenance import apply_deletes, apply_inserts
 
 
 @pytest.fixture
@@ -184,161 +178,3 @@ class TestEmptyBatches:
             apply_inserts(label, wrong)
         with pytest.raises(ValueError, match="exactly the labeled"):
             apply_deletes(label, wrong)
-
-    def test_maintainer_ignores_empty_batches(self, figure2):
-        maintainer = LabelMaintainer(figure2, bound=30, check_every=1)
-        before = maintainer.label
-        status = maintainer.insert(figure2.head(0))
-        assert status.label is before
-        assert not status.stale and not status.rebuilt
-        assert status.summary is None
-        assert maintainer.dataset.n_rows == figure2.n_rows
-
-
-class TestLabelMaintainer:
-    def test_tracks_inserts_exactly(self, rng):
-        data = load_dataset("bluenile", n_rows=2000, seed=3)
-        maintainer = LabelMaintainer(data, bound=30, check_every=100)
-        batch = load_dataset("bluenile", n_rows=200, seed=4)
-        status = maintainer.insert(batch)
-        reference = build_label(
-            maintainer.dataset, maintainer.label.attributes
-        )
-        assert status.label.pc == reference.pc
-        assert status.label.total == 2200
-
-    def test_drift_triggers_rebuild(self):
-        """Feeding rows from a very different distribution must
-        eventually flag the label stale and rebuild it."""
-        data = load_dataset("bluenile", n_rows=1500, seed=3)
-        maintainer = LabelMaintainer(
-            data, bound=30, drift_factor=1.1, check_every=1
-        )
-        rng = np.random.default_rng(9)
-        from repro.datasets import append_random_tuples
-
-        rebuilt = False
-        for _ in range(6):
-            noise = append_random_tuples(
-                data.head(0), 800, rng
-            )
-            status = maintainer.insert(noise)
-            rebuilt = rebuilt or status.rebuilt
-        assert rebuilt
-
-    def test_size_overflow_triggers_rebuild(self):
-        """Inserts that introduce unseen combinations push |PC| past the
-        budget, forcing a re-search that picks a smaller subset."""
-        domains = {
-            "a": tuple(f"a{i}" for i in range(6)),
-            "b": tuple(f"b{i}" for i in range(6)),
-            "c": ("z", "w"),
-        }
-        # 10 distinct (a, b) combos, c constant: S = {a, b} is exact
-        # (error 0) at |PC| = 10.
-        pairs = [(i, i) for i in range(6)] + [(i, i + 1) for i in range(4)]
-        rows = [(f"a{i}", f"b{j}", "z") for i, j in pairs] * 3
-        data = Dataset.from_rows(["a", "b", "c"], rows, domains=domains)
-        maintainer = LabelMaintainer(
-            data, bound=10, drift_factor=50.0, check_every=100
-        )
-        # removeParents keeps the maximal fitting subset: {a, b, c}
-        # (c is constant, so it costs nothing).
-        assert {"a", "b"} <= set(maintainer.label.attributes)
-        assert maintainer.label.size == 10
-
-        fresh_pairs = [(i, (i + 2) % 6) for i in range(6)]
-        fresh = Dataset.from_rows(
-            ["a", "b", "c"],
-            [(f"a{i}", f"b{j}", "z") for i, j in fresh_pairs],
-            domains=domains,
-        )
-        status = maintainer.insert(fresh)
-        assert status.stale and status.rebuilt
-        assert maintainer.label.size <= 10
-        assert not {"a", "b"} <= set(maintainer.label.attributes)
-
-    def test_parameter_validation(self, figure2):
-        with pytest.raises(ValueError, match="drift_factor"):
-            LabelMaintainer(figure2, bound=5, drift_factor=0.5)
-        with pytest.raises(ValueError, match="check_every"):
-            LabelMaintainer(figure2, bound=5, check_every=0)
-
-
-class TestShardedMaintainer:
-    """``shards > 1`` routes counting through ShardedPatternCounter and
-    absorbs each insert batch as a new shard instead of a full rebind."""
-
-    def test_matches_monolithic_maintainer(self):
-        data = load_dataset("bluenile", n_rows=1200, seed=3)
-        mono = LabelMaintainer(data, bound=30, check_every=2)
-        sharded = LabelMaintainer(data, bound=30, check_every=2, shards=3)
-        assert sharded.label == mono.label
-        for seed in (4, 5, 6):
-            batch = load_dataset("bluenile", n_rows=150, seed=seed)
-            mono_status = mono.insert(batch)
-            sharded_status = sharded.insert(batch)
-            assert sharded_status.label == mono_status.label
-            assert sharded_status.stale == mono_status.stale
-            assert sharded_status.rebuilt == mono_status.rebuilt
-            if mono_status.summary is not None:
-                assert sharded_status.summary.max_abs == pytest.approx(
-                    mono_status.summary.max_abs
-                )
-
-    def test_insert_becomes_new_shard(self):
-        from repro.core.sharding import ShardedPatternCounter
-
-        data = load_dataset("bluenile", n_rows=600, seed=3)
-        maintainer = LabelMaintainer(
-            data, bound=30, check_every=100, shards=2
-        )
-        counter = maintainer._counter
-        assert isinstance(counter, ShardedPatternCounter)
-        assert counter.n_shards == 2
-        batch = load_dataset("bluenile", n_rows=100, seed=4)
-        maintainer.insert(batch)
-        assert counter.n_shards == 3
-        assert maintainer.dataset.n_rows == 700
-
-    def test_shards_validation(self, figure2):
-        with pytest.raises(ValueError, match="shards"):
-            LabelMaintainer(figure2, bound=30, shards=0)
-
-
-class TestMaintainerCounterFreshness:
-    """The maintainer's long-lived counter must track dataset swaps.
-
-    Regression guard for the stale-cache bug: the maintainer now keeps
-    one PatternCounter for its lifetime and rebinds it on every insert,
-    so drift checks and rebuilds must see post-insert counts — not the
-    fractions/joint tables of the snapshot the maintainer started from.
-    """
-
-    def test_drift_summary_matches_fresh_evaluation(self):
-        data = load_dataset("bluenile", n_rows=1200, seed=3)
-        maintainer = LabelMaintainer(data, bound=30, check_every=1)
-        batch = load_dataset("bluenile", n_rows=300, seed=8)
-        status = maintainer.insert(batch)
-        assert status.summary is not None
-
-        from repro.core.counts import PatternCounter
-        from repro.core.errors import evaluate_label
-        from repro.core.patternsets import full_pattern_set
-
-        fresh = PatternCounter(maintainer.dataset)
-        reference = evaluate_label(
-            fresh, status.label, full_pattern_set(fresh)
-        )
-        assert status.summary.max_abs == pytest.approx(reference.max_abs)
-        assert status.summary.mean_abs == pytest.approx(reference.mean_abs)
-
-    def test_counter_rebinds_to_current_snapshot(self):
-        data = load_dataset("bluenile", n_rows=800, seed=3)
-        maintainer = LabelMaintainer(data, bound=30, check_every=100)
-        before_rows = maintainer._counter.total_rows
-        batch = load_dataset("bluenile", n_rows=150, seed=9)
-        maintainer.insert(batch)
-        assert before_rows == 800
-        assert maintainer._counter.total_rows == 950
-        assert maintainer._counter.dataset is maintainer.dataset

@@ -1,5 +1,8 @@
 """Unit tests for :mod:`repro.core.sharding`."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -177,23 +180,22 @@ class TestShardLifecycle:
         assert after["Male"] > before["Male"]
         assert after["Female"] == before["Female"]
 
-    def test_rebind_repartitions(self, figure2):
-        counter = ShardedPatternCounter.from_dataset(figure2, 3)
-        counter.joint_table(["gender"])  # warm a merged cache
-        smaller = figure2.head(6)
-        counter.rebind(smaller)
-        assert counter.n_shards == 3
-        assert counter.total_rows == 6
-        reference = PatternCounter(smaller)
-        combos, counts = counter.joint_table(["gender"])
-        ref_combos, ref_counts = reference.joint_table(["gender"])
-        assert np.array_equal(combos, ref_combos)
-        assert np.array_equal(counts, ref_counts)
-
-    def test_invalidate_caches(self, sharded):
-        sharded.joint_table(["gender"])
-        sharded.invalidate_caches()
-        assert sharded._joint_tables == {}
+    def test_counter_is_freed_without_the_cycle_collector(self, figure2):
+        # Update paths replace their counter once per batch; a replaced
+        # counter and its merged caches must go when the last reference
+        # does, not wait for the cyclic garbage collector.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            counter = ShardedPatternCounter.from_dataset(figure2, 2)
+            assert counter.dataset.n_rows == figure2.n_rows
+            counter.value_counts("gender")
+            ref = weakref.ref(counter)
+            del counter
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestParallel:

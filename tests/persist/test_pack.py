@@ -444,6 +444,24 @@ class TestSessionPack:
         with pytest.raises(SessionError, match="no counter state"):
             bare.to_pack(tmp_path / "pack")
 
+    @pytest.mark.parametrize(
+        "batch, reason",
+        [
+            ("deleted", "delete batch applied"),
+            ("inserted", "values outside the counter's frozen domains"),
+        ],
+    )
+    def test_to_pack_names_why_update_dropped_the_counter(
+        self, tmp_path, session, figure2, batch, reason
+    ):
+        rows = figure2.head(1)
+        if batch == "inserted":
+            row = dict(next(iter(rows.iter_rows())), gender="Nonbinary")
+            rows = Dataset.from_rows(list(row), [tuple(row.values())])
+        session.update(**{batch: rows})
+        with pytest.raises(SessionError, match=reason):
+            session.to_pack(tmp_path / "pack")
+
     def test_parallel_fit_packs_identically(self, tmp_path):
         # Per-shard tables stay in the counter's own sources whether or
         # not they were built on the thread pool, so the pack bytes match.
@@ -472,7 +490,15 @@ class TestSessionPack:
         warm.update(inserted=figure2)
         # The pack profiles the pre-update data; it must not survive.
         assert warm.pack is None
-        assert warm.counter is None
+        # The counter follows the insert: it counts the updated rows.
+        reference = PatternCounter(figure2.concat(figure2))
+        for subset in (("gender",), ("gender", "race")):
+            assert warm.counter.label_size(subset) == reference.label_size(
+                subset
+            )
+            assert build_label(warm.counter, subset) == build_label(
+                reference, subset
+            )
 
 
 # -- store integration ---------------------------------------------------------

@@ -61,8 +61,8 @@ def datasets(draw, min_rows: int = 1, max_rows: int = 24, allow_missing=False):
 
 
 @st.composite
-def dataset_and_subset(draw):
-    data = draw(datasets())
+def dataset_and_subset(draw, allow_missing=False):
+    data = draw(datasets(allow_missing=allow_missing))
     names = list(data.attribute_names)
     k = draw(st.integers(1, len(names)))
     subset = draw(

@@ -5,15 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import StreamConfig
+from repro import LabelingSession, StreamConfig
 from repro.api.errors import RegistryError
 from repro.core.counts import PatternCounter
 from repro.core.label import build_label
-from repro.core.maintenance import apply_deletes, apply_inserts
+from repro.core.maintenance import (
+    _align_for_counter,
+    apply_deletes,
+    apply_inserts,
+)
 from repro.core.pattern import Pattern
 from repro.dataset.table import Dataset
+from repro.datasets import load_dataset
+from repro.persist import open_pack
 from repro.stream import StreamError, StreamIngestor, WriteAheadLog
-from repro.stream.ingest import _align_for_counter
 
 pytestmark = pytest.mark.stream
 
@@ -127,6 +132,43 @@ class TestWritePath:
         assert follow.seq == 2
 
 
+class TestCallerCounter:
+    """Streaming never grows the counter it was handed: each insert batch
+    yields a new counter, so the caller's label and counter still agree."""
+
+    CONFIG = StreamConfig(drift_threshold=None, fsync=False)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_session_counter_and_its_pack_stay_consistent(
+        self, tmp_path, shards
+    ):
+        data = load_dataset("bluenile", n_rows=1200, seed=3)
+        session = LabelingSession.fit(data, bound=30, shards=shards)
+        ingestor = session.stream(tmp_path / "wal", config=self.CONFIG)
+        ingestor.submit(inserted=load_dataset("bluenile", n_rows=100, seed=4))
+        assert ingestor.counter.total_rows == 1300
+        assert session.counter.total_rows == session.artifact.total == 1200
+        assert session.counter.n_shards == shards
+        reader = open_pack(session.to_pack(tmp_path / "pack"))
+        label = reader.load_label("label")
+        assert label == build_label(reader.counter(), label.attributes)
+
+    def test_pack_reader_counter_never_grows(self, tmp_path):
+        data = load_dataset("bluenile", n_rows=1200, seed=3)
+        session = LabelingSession.fit(data, bound=30, shards=2)
+        reader = open_pack(session.to_pack(tmp_path / "pack"))
+        ingestor = StreamIngestor(
+            reader.load_label("label"),
+            wal=WriteAheadLog(tmp_path / "wal", fsync=False),
+            counter=reader.counter(),
+            config=self.CONFIG,
+        )
+        ingestor.submit(inserted=load_dataset("bluenile", n_rows=100, seed=4))
+        assert ingestor.counter.total_rows == 1300
+        assert reader.counter().total_rows == 1200
+        assert reader.counter().n_shards == 2
+
+
 def _pinned_rebuild(rows: Dataset, schema) -> Dataset:
     """The batch rebuilt row by row with the counter's domains pinned —
     the reference the column-wise re-encode must reproduce."""
@@ -231,8 +273,6 @@ class TestCompaction:
         # Checkpointed batches no longer replay; later ones still do.
         remaining = WriteAheadLog(tmp_path / "wal").records()
         assert all(r.seq > 2 for r in remaining)
-        from repro.persist import open_pack
-
         reader = open_pack(pack_dir)
         packed = reader.load_label("label")
         recovered = packed
