@@ -22,7 +22,10 @@ single-dataset counter:
   grouped by attribute tuple, each group is radix-encoded into one
   ``int64`` key per pattern, and the keys are resolved against the
   group's :class:`KeyTable` (one ``searchsorted`` instead of one
-  bitset intersection per pattern);
+  bitset intersection per pattern) — except a single source's first
+  batch over an attribute set, which reads one dense ``bincount`` of
+  the rows' keys (or, past the dense rule, resolves the rows against
+  the sorted query keys) and builds no table;
 * :meth:`PatternCounter.joint_table` / :meth:`PatternCounter.joint_tables`
   — the joint count table over attribute set(s) ``S`` (exactly the ``PC``
   content of ``L_S(D)``), cached per attribute set;
@@ -216,6 +219,19 @@ def radix_fits(schema, attributes: Sequence[str]) -> bool:
             return False
         radix *= card
     return True
+
+
+def _dense_fits(radix: int, n_keys: int) -> bool:
+    """True when counting ``n_keys`` radix keys into a dense ``radix``-slot
+    ``bincount`` is cheaper than sorting them.
+
+    One ``O(n + radix)`` pass beats the ``O(n log n)`` sort while the
+    key space stays near the row count; the cap bounds the scratch
+    allocation (``int64`` counts, 8 B per slot).  Label sizing
+    (:meth:`RowSource._distinct`) and a single source's first count
+    batch (:meth:`PatternCounter.counts_for_codes`) share this rule.
+    """
+    return radix <= min(1 << 24, max(1 << 16, 8 * n_keys))
 
 
 def _group_sums(
@@ -526,7 +542,8 @@ class RowSource:
     def _distinct(self, attributes: tuple[str, ...], count_only: bool):
         """Distinct radix keys (or their number) over ``attributes``;
         ``None`` when missing values or a 64-bit overflow rule the radix
-        encoding out."""
+        encoding out.  A radix that passes :func:`_dense_fits` is
+        counted with one ``bincount``, a wider one sorted."""
         dataset = self.dataset
         if (
             not attributes
@@ -536,10 +553,7 @@ class RowSource:
             return None
         keys = self.row_keys(attributes)
         radix = math.prod(dataset.schema[a].cardinality for a in attributes)
-        # Dense path: one O(n + radix) bincount beats the O(n log n) sort
-        # while the key space stays near the row count; the cap bounds
-        # the scratch allocation (int64 counts, 8 B per slot).
-        if radix <= min(1 << 24, max(1 << 16, 8 * keys.size)):
+        if _dense_fits(radix, keys.size):
             seen = np.bincount(keys, minlength=radix)
             if count_only:
                 return int(np.count_nonzero(seen))
@@ -1019,10 +1033,12 @@ class PatternCounter:
         ``combos`` holds pattern ``i``'s codes.  A batch costs one binary
         search per *query* against the attribute set's merged
         :class:`KeyTable`, built on first use.  A single source answers
-        its first batch over an attribute set without that group-by: the
-        distinct query keys are sorted and every encoded row is resolved
-        against them with ``searchsorted`` + ``np.bincount`` — one data
-        pass instead of an ``O(n log n)`` sort — and repeat batches
+        its first batch over an attribute set without that group-by, in
+        one data pass and caching nothing: when the radix passes
+        :func:`_dense_fits` (the rule label sizing uses), one
+        ``bincount`` of the rows' radix keys is read off at the query
+        keys; a wider radix resolves every row against the sorted
+        distinct query keys with ``searchsorted``.  Repeat batches
         promote the set to a key table.  Combinations absent from the
         data count 0.  Falls back to the scalar bitset path only when the
         attribute set's radix product overflows 64 bits.
@@ -1043,10 +1059,19 @@ class PatternCounter:
             and attrs not in self._key_tables
             and radix_fits(self._schema, attrs)
         ):
-            # One-shot batch: group the data by *query* key instead of
-            # sorting the data — O(n log m) for m distinct queries.
-            query_keys = combine_codes(combos, self._cards(attrs))
+            # One-shot batch: count the rows without sorting them.  Every
+            # row key (missing rows dropped) and query key lies in
+            # [0, radix), so the dense table is exact.
+            cards = self._cards(attrs)
+            query_keys = combine_codes(combos, cards)
             row_keys = self._sources[0].row_keys(attrs)
+            radix = math.prod(cards)
+            if _dense_fits(radix, row_keys.size):
+                return np.bincount(row_keys, minlength=radix)[
+                    query_keys
+                ].astype(np.int64, copy=False)
+            # Wider: group the data by *query* key — O(n log m) for m
+            # distinct queries.
             unique_q, inverse = np.unique(query_keys, return_inverse=True)
             idx = np.minimum(
                 np.searchsorted(unique_q, row_keys), unique_q.size - 1

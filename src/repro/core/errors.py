@@ -365,7 +365,11 @@ class BatchLabelEvaluator:
       share these columns, which is where the batched pass wins;
     * each :meth:`evaluate` call then costs one batched base lookup per
       group (through the counting kernel's cached key tables) plus cached
-      column multiplies.
+      column multiplies;
+    * a group's estimate vector is memoized under the attributes the
+      candidate shares with it, except for a group binding every
+      attribute of the relation (``P_A``'s one group): it shares the
+      whole candidate, so its key never repeats across candidates.
 
     Relations with missing values fall back to the exact per-label path
     of :func:`evaluate_label` (their partial-support ``PC`` keys are not
@@ -396,7 +400,11 @@ class BatchLabelEvaluator:
         # (group index, shared attribute tuple) -> estimate vector.  The
         # estimates of a group are fully determined by which of its
         # attributes the candidate covers, and candidate subsets overlap
-        # heavily, so most evaluate() calls are pure cache hits.
+        # heavily, so most evaluate() calls are pure cache hits.  A group
+        # binding every attribute (P_A's one group) shares the whole
+        # candidate, so no two candidates share its key: it is not
+        # memoized.
+        self._n_attributes = len(counter.schema)
         self._group_estimates: dict[
             tuple[int, tuple[str, ...]], np.ndarray
         ] = {}
@@ -514,7 +522,8 @@ class BatchLabelEvaluator:
                 estimates = estimates * self._fraction_column(
                     group_index, attribute, position
                 )
-            self._group_estimates[(group_index, shared)] = estimates
+            if len(attrs) < self._n_attributes:
+                self._group_estimates[(group_index, shared)] = estimates
             out[indices] = estimates
         for group_index, (order, runs_rows, indices) in enumerate(
             self._range_groups
@@ -543,7 +552,10 @@ class BatchLabelEvaluator:
                 estimates = estimates * self._range_fraction_column(
                     group_index, attribute, position
                 )
-            self._range_group_estimates[(group_index, shared)] = estimates
+            if len(order) < self._n_attributes:
+                self._range_group_estimates[(group_index, shared)] = (
+                    estimates
+                )
             out[indices] = estimates
         return out
 

@@ -10,11 +10,17 @@ Two reading regimes:
 
 * :func:`read_csv` — materialize the whole file as one dataset;
 * :func:`read_csv_chunks` — stream the file in bounded-memory chunks
-  (each a :class:`Dataset` sharing one pinned schema), for data too big
-  for a single ``list(reader)``.  Domains are resolved either by a first
-  streaming pass (:func:`scan_csv_domains`) or supplied by the caller;
-  the chunks feed :class:`repro.core.sharding.ShardedPatternCounter`
-  directly.
+  (each a :class:`Dataset` sharing one pinned schema), for data whose
+  code matrix is too big to hold at once.  Domains are resolved either
+  by a first streaming pass (:func:`scan_csv_domains`) or supplied by
+  the caller; the chunks feed
+  :class:`repro.core.sharding.ShardedPatternCounter` directly.
+
+All three readers take the records in blocks of :data:`_BLOCK_ROWS`:
+a block is checked for ragged records, transposed with ``zip``, and
+each selected column is encoded through one value -> code dict.  No
+reader loops over cells in Python or holds a string per cell of the
+whole file.
 
 Duplicate header names are rejected up front: column selection is by
 name, and a duplicated name would silently bind the wrong column.
@@ -24,14 +30,23 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 from typing import Hashable, Iterator, Mapping, Sequence
 
+import numpy as np
+
+from repro.dataset.schema import MISSING_CODE, Column, Schema
 from repro.dataset.table import Dataset
 
 __all__ = ["read_csv", "read_csv_chunks", "scan_csv_domains", "write_csv"]
 
 DEFAULT_MISSING_TOKENS = ("", "NA", "N/A", "null", "NULL")
+
+#: Records decoded per block.  A block's cells are the only Python
+#: strings a reader holds at once, and a small block is transposed and
+#: encoded while its strings are still in cache.
+_BLOCK_ROWS = 1024
 
 
 def _read_header(path: Path, reader) -> list[str]:
@@ -63,6 +78,104 @@ def _resolve_columns(
     return list(header), list(range(len(header)))
 
 
+def _blocks(
+    path: Path, records: Iterator[list[str]], width: int, first_line: int = 2
+) -> Iterator[list[list[str]]]:
+    """``records`` in lists of up to :data:`_BLOCK_ROWS`, each record
+    checked to hold ``width`` cells.
+
+    The check runs before a block is transposed: ``zip`` would silently
+    truncate the block to its shortest record.  ``first_line`` is the
+    file line of the first record, for the error message.
+    """
+    line = first_line
+    while block := list(islice(records, _BLOCK_ROWS)):
+        if set(map(len, block)) != {width}:
+            for offset, record in enumerate(block):
+                if len(record) != width:
+                    raise ValueError(
+                        f"{path}:{line + offset}: expected {width} cells, "
+                        f"got {len(record)}"
+                    )
+        yield block
+        line += len(block)
+
+
+class _ColumnDecoder:
+    """One CSV column, encoded block by block through one value -> code
+    dict.
+
+    The missing tokens are pre-mapped to ``-1``; every other cell gets
+    the code of its value's first appearance.  :meth:`finish` sorts the
+    values into the column's domain (or takes a pinned one) and remaps
+    the codes with one gather.
+    """
+
+    def __init__(self, missing_tokens: Sequence[str]) -> None:
+        self._codes: dict[str, int] = dict.fromkeys(
+            missing_tokens, MISSING_CODE
+        )
+        self._n_missing = len(self._codes)
+        self._blocks: list[np.ndarray] = []
+
+    def add(self, cells: Sequence[str]) -> None:
+        codes = self._codes
+        if not codes.keys() >= set(cells):
+            for cell in dict.fromkeys(cells):  # in order of appearance
+                codes.setdefault(cell, len(codes) - self._n_missing)
+        self._blocks.append(
+            np.fromiter(map(codes.__getitem__, cells), np.int32, len(cells))
+        )
+
+    def finish(
+        self, name: str, domain: Sequence[Hashable] | None
+    ) -> tuple[Column, np.ndarray]:
+        """The column and its codes.  A value outside a pinned domain
+        raises :meth:`Column.code_of`'s ``KeyError`` for the first such
+        cell, since the values are encoded in order of appearance."""
+        values = list(self._codes)[self._n_missing :]
+        if domain is None:
+            domain = sorted(values, key=repr)
+        column = Column(name, tuple(domain))
+        # Code -1 (missing) indexes the appended last entry, -1.
+        remap = np.append(column.encode(values), MISSING_CODE)
+        codes = (
+            np.concatenate(self._blocks)
+            if self._blocks
+            else np.empty(0, dtype=np.int32)
+        )
+        return column, remap[codes]
+
+
+def _decode(
+    blocks: Iterator[list[list[str]]],
+    names: Sequence[str],
+    positions: Sequence[int],
+    missing_tokens: Sequence[str],
+    domains: Mapping[str, Sequence[Hashable]] | None,
+) -> Dataset:
+    """One dataset from ``blocks`` of records, the ``names`` columns at
+    ``positions`` selected.  Unlisted columns get the ``repr``-sorted
+    set of their observed values, as in :meth:`Dataset.from_columns`."""
+    decoders = [_ColumnDecoder(missing_tokens) for _ in names]
+    for block in blocks:
+        cells = list(zip(*block))
+        for decoder, position in zip(decoders, positions):
+            decoder.add(cells[position])
+    if not decoders:
+        raise ValueError("at least one column is required")
+    columns: list[Column] = []
+    codes: list[np.ndarray] = []
+    for name, decoder in zip(names, decoders):
+        pinned = domains is not None and name in domains
+        column, column_codes = decoder.finish(
+            name, domains[name] if pinned else None
+        )
+        columns.append(column)
+        codes.append(column_codes)
+    return Dataset(Schema(columns), np.column_stack(codes), copy=False)
+
+
 def read_csv(
     path: str | Path,
     *,
@@ -71,6 +184,10 @@ def read_csv(
     domains: Mapping[str, Sequence[Hashable]] | None = None,
 ) -> Dataset:
     """Load a CSV file with a header row into a :class:`Dataset`.
+
+    The file is read in blocks of records; each block is transposed and
+    every selected column encoded through one value -> code dict, so the
+    reader never holds a Python string per cell of the whole file.
 
     Parameters
     ----------
@@ -89,26 +206,22 @@ def read_csv(
     ValueError
         Empty file, ragged rows, or duplicate header names (column
         selection is by name and would silently misread).
+    KeyError
+        A value outside a pinned domain (the first such cell of the
+        first such column).
     """
     path = Path(path)
-    missing = set(missing_tokens)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         header = _read_header(path, reader)
-        rows = list(reader)
-
-    names, positions = _resolve_columns(path, header, usecols)
-    columns: dict[str, list[Hashable]] = {name: [] for name in names}
-    for line_number, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}:{line_number}: expected {len(header)} cells, "
-                f"got {len(row)}"
-            )
-        for name, position in zip(names, positions):
-            cell = row[position]
-            columns[name].append(None if cell in missing else cell)
-    return Dataset.from_columns(columns, domains=domains)
+        names, positions = _resolve_columns(path, header, usecols)
+        return _decode(
+            _blocks(path, reader, len(header)),
+            names,
+            positions,
+            missing_tokens,
+            domains,
+        )
 
 
 def scan_csv_domains(
@@ -121,30 +234,26 @@ def scan_csv_domains(
 
     The first pass of the two-pass chunked reader: memory is bounded by
     the number of *distinct* values per column, never by the row count.
-    Domains come back sorted exactly like
+    The file is read in the same blocks as :func:`read_csv`, and each
+    block's columns update one set per column.  Domains come back
+    sorted exactly like
     :meth:`Dataset.from_columns <repro.dataset.table.Dataset.from_columns>`
     sorts inferred domains, so a chunked read over these domains and a
     monolithic :func:`read_csv` produce identical schemas.
     """
     path = Path(path)
-    missing = set(missing_tokens)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         header = _read_header(path, reader)
         names, positions = _resolve_columns(path, header, usecols)
         observed: dict[str, set[str]] = {name: set() for name in names}
-        for line_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{line_number}: expected {len(header)} cells, "
-                    f"got {len(row)}"
-                )
+        for block in _blocks(path, reader, len(header)):
+            cells = list(zip(*block))
             for name, position in zip(names, positions):
-                cell = row[position]
-                if cell not in missing:
-                    observed[name].add(cell)
+                observed[name].update(cells[position])
+    missing = set(missing_tokens)
     return {
-        name: tuple(sorted(values, key=repr))
+        name: tuple(sorted(values - missing, key=repr))
         for name, values in observed.items()
     }
 
@@ -166,6 +275,8 @@ def read_csv_chunks(
     given, the file is scanned first (:func:`scan_csv_domains`) — the
     two-pass default; callers that already know the domains (a published
     schema, a previous scan) skip the extra pass by supplying them.
+    Each chunk is decoded like :func:`read_csv`, block by block, and its
+    columns are encoded over the pinned domains.
 
     A header-only file yields exactly one 0-row chunk, so the schema
     survives even for empty data.
@@ -181,7 +292,6 @@ def read_csv_chunks(
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     path = Path(path)
-    missing = set(missing_tokens)
     if domains is None:
         domains = scan_csv_domains(
             path, usecols=usecols, missing_tokens=missing_tokens
@@ -200,26 +310,21 @@ def read_csv_chunks(
             )
         pinned = {name: tuple(domains[name]) for name in names}
 
-        buffer: dict[str, list[Hashable]] = {name: [] for name in names}
-        buffered = 0
-        yielded = False
-        for line_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{line_number}: expected {len(header)} cells, "
-                    f"got {len(row)}"
-                )
-            for name, position in zip(names, positions):
-                cell = row[position]
-                buffer[name].append(None if cell in missing else cell)
-            buffered += 1
-            if buffered == chunk_rows:
-                yield Dataset.from_columns(buffer, domains=pinned)
-                buffer = {name: [] for name in names}
-                buffered = 0
-                yielded = True
-        if buffered or not yielded:
-            yield Dataset.from_columns(buffer, domains=pinned)
+        line = 2
+        while True:
+            records = islice(reader, chunk_rows)
+            chunk = _decode(
+                _blocks(path, records, len(header), line),
+                names,
+                positions,
+                missing_tokens,
+                pinned,
+            )
+            if chunk.n_rows or line == 2:
+                yield chunk
+            if chunk.n_rows < chunk_rows:
+                return
+            line += chunk_rows
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 __all__ = ["Column", "Schema", "MISSING_CODE"]
 
 #: Integer code reserved for missing values in a :class:`Dataset` column.
@@ -39,6 +41,11 @@ class Column:
     _index: Mapping[Hashable, int] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
+    # ``_index`` plus ``None -> MISSING_CODE``: the map :meth:`encode`
+    # reads every value through.
+    _lookup: Mapping[Hashable, int] = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
     _run_cache: dict = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
@@ -56,6 +63,7 @@ class Column:
                 )
             index[category] = position
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_lookup", {**index, None: MISSING_CODE})
         object.__setattr__(self, "_run_cache", {})
 
     @property
@@ -78,6 +86,28 @@ class Column:
                 f"value {category!r} not in the active domain of "
                 f"attribute {self.name!r}"
             ) from None
+
+    def encode(self, values: Sequence[Hashable]) -> np.ndarray:
+        """``int32`` codes of ``values``, ``None`` becoming ``-1``.
+
+        One dict lookup per value, run in C — the column-at-a-time twin
+        of :meth:`code_of`.
+
+        Raises
+        ------
+        KeyError
+            At the first value outside the active domain, with
+            :meth:`code_of`'s message.
+        """
+        try:
+            return np.fromiter(
+                map(self._lookup.__getitem__, values),
+                dtype=np.int32,
+                count=len(values),
+            )
+        except KeyError as error:
+            self.code_of(error.args[0])
+            raise  # unreachable: code_of raised for the missing value
 
     def __contains__(self, category: Hashable) -> bool:
         return category in self._index

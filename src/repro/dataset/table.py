@@ -78,6 +78,14 @@ def combine_codes(
     return keys
 
 
+def _observed_domain(values: Sequence[Hashable]) -> tuple[Hashable, ...]:
+    """The inferred active domain of a column: its distinct non-``None``
+    values, sorted by ``repr``."""
+    observed = set(values)
+    observed.discard(None)
+    return tuple(sorted(observed, key=repr))
+
+
 class Dataset:
     """An immutable, numpy-backed categorical relation.
 
@@ -137,7 +145,10 @@ class Dataset:
 
         ``None`` entries become missing values.  Unless ``domains`` pins a
         domain explicitly, each attribute's active domain is the sorted set
-        of non-``None`` values observed in its column.
+        of non-``None`` values observed in its column.  Each column is
+        encoded in one pass through its domain's value -> code map
+        (:meth:`Column.encode <repro.dataset.schema.Column.encode>`);
+        a value outside a pinned domain raises its ``KeyError``.
         """
         names = list(columns)
         if not names:
@@ -145,7 +156,6 @@ class Dataset:
         lengths = {len(values) for values in columns.values()}
         if len(lengths) != 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
-        n_rows = lengths.pop()
 
         schema_columns: list[Column] = []
         code_columns: list[np.ndarray] = []
@@ -154,23 +164,13 @@ class Dataset:
             if domains is not None and name in domains:
                 domain = tuple(domains[name])
             else:
-                domain = tuple(
-                    sorted({v for v in values if v is not None}, key=repr)
-                )
+                domain = _observed_domain(values)
             column = Column(name, domain)
-            codes = np.empty(n_rows, dtype=np.int32)
-            for i, value in enumerate(values):
-                codes[i] = (
-                    MISSING_CODE if value is None else column.code_of(value)
-                )
             schema_columns.append(column)
-            code_columns.append(codes)
-        matrix = (
-            np.column_stack(code_columns)
-            if code_columns
-            else np.empty((0, 0), dtype=np.int32)
+            code_columns.append(column.encode(values))
+        return cls(
+            Schema(schema_columns), np.column_stack(code_columns), copy=False
         )
-        return cls(Schema(schema_columns), matrix, copy=False)
 
     @classmethod
     def from_rows(
@@ -490,20 +490,11 @@ class Dataset:
         if len(values) != self.n_rows:
             raise ValueError("new column length must match row count")
         if domain is None:
-            domain = tuple(
-                sorted({v for v in values if v is not None}, key=repr)
-            )
+            domain = _observed_domain(values)
         column = Column(name, tuple(domain))
-        codes = np.array(
-            [
-                MISSING_CODE if v is None else column.code_of(v)
-                for v in values
-            ],
-            dtype=np.int32,
-        )
         return Dataset(
             Schema(list(self._schema) + [column]),
-            np.column_stack([self._codes, codes]),
+            np.column_stack([self._codes, column.encode(values)]),
             copy=False,
         )
 

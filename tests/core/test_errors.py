@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.counts import PatternCounter
 from repro.core.errors import (
+    BatchLabelEvaluator,
     ErrorSummary,
     Objective,
     absolute_error,
@@ -16,7 +17,10 @@ from repro.core.errors import (
 from repro.core.estimator import LabelEstimator
 from repro.core.label import build_label
 from repro.core.pattern import Pattern
-from repro.core.patternsets import PatternSet, full_pattern_set
+from repro.core.patternsets import PatternSet, full_pattern_set, patterns_over
+from repro.core.search import driver as search_driver
+from repro.core.search.driver import SearchDriver
+from repro.core.search.strategies import naive_search, top_down_search
 
 
 class TestScalarMetrics:
@@ -183,3 +187,61 @@ class TestEarlyTerminationScan:
         )
         with pytest.raises(ValueError, match="tabular"):
             scan_max_abs_error(counter, ("gender",), explicit)
+
+
+class TestEvaluatorMemo:
+    """``BatchLabelEvaluator`` memoizes a group's estimates under the
+    attributes a candidate shares with it — except for a group binding
+    every attribute (``P_A``'s one group), whose key is the whole
+    candidate and so never repeats."""
+
+    @pytest.fixture
+    def evaluators(self, monkeypatch):
+        made = []
+
+        class Recording(BatchLabelEvaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(search_driver, "BatchLabelEvaluator", Recording)
+        return made
+
+    @pytest.mark.parametrize("search", [top_down_search, naive_search])
+    def test_full_width_group_is_not_memoized(
+        self, evaluators, bluenile_small, search
+    ):
+        counter = PatternCounter(bluenile_small)
+        result = search(counter, 40)
+        (evaluator,) = evaluators
+        assert result.stats.labels_evaluated > 1
+        assert evaluator._group_estimates == {}
+        # The result is the best candidate under the memo-free
+        # one-candidate path, with the canonical tie-break.
+        pattern_set = full_pattern_set(counter)
+        best, best_summary, best_value = None, None, float("inf")
+        for candidate in result.candidates:
+            summary = ErrorSummary.from_arrays(
+                pattern_set.counts,
+                vectorized_estimates(counter, candidate, pattern_set),
+            )
+            if SearchDriver.better(
+                candidate, summary.max_abs, best, best_value
+            ):
+                best, best_summary, best_value = (
+                    candidate,
+                    summary,
+                    summary.max_abs,
+                )
+        assert result.attributes == best
+        assert result.summary == best_summary
+
+    def test_narrower_groups_still_memoize(self, evaluators, bluenile_small):
+        counter = PatternCounter(bluenile_small)
+        pattern_set = patterns_over(
+            counter, bluenile_small.attribute_names[:3]
+        )
+        result = naive_search(counter, 40, pattern_set=pattern_set)
+        (evaluator,) = evaluators
+        memo = evaluator._group_estimates
+        assert 0 < len(memo) < result.stats.labels_evaluated

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.dataset.schema`."""
 
+import numpy as np
 import pytest
 
 from repro.core.pattern import Predicate
@@ -33,6 +34,21 @@ class TestColumn:
         column = Column("color", ("red",))
         with pytest.raises(ValueError, match="missing"):
             column.category_of(MISSING_CODE)
+
+    def test_encode_maps_values_and_none(self):
+        column = Column("color", ("red", "green", "blue"))
+        codes = column.encode(["blue", None, "red", "blue"])
+        assert codes.dtype == np.int32
+        assert codes.tolist() == [2, MISSING_CODE, 0, 2]
+        assert column.encode([]).tolist() == []
+
+    def test_encode_unknown_value_raises_code_of_error(self):
+        column = Column("color", ("red",))
+        with pytest.raises(KeyError) as encoded:
+            column.encode(["red", "magenta", "cyan"])
+        with pytest.raises(KeyError) as looked_up:
+            column.code_of("magenta")
+        assert str(encoded.value) == str(looked_up.value)
 
     def test_contains(self):
         column = Column("color", ("red", "green"))

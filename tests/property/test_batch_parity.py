@@ -11,6 +11,8 @@ workloads, and every batch answer is checked against its scalar twin.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +28,7 @@ from repro import (
 )
 from repro.api import RegistryError, make_estimator, registered_estimators
 from repro.api.registry import estimate_many as registry_estimate_many
+from repro.core.counts import _dense_fits
 from repro.core.errors import BatchLabelEvaluator, evaluate_labels
 from repro.core.pattern import OPS, Predicate
 from repro.core.patternsets import PatternSet, full_pattern_set
@@ -191,6 +194,90 @@ def test_count_many_matches_brute_force_mixed(data_strategy):
     assert list(counter.count_many(patterns)) == brute
     # Repeat batch: warm key tables and cumsum caches, still identical.
     assert list(counter.count_many(patterns)) == brute
+
+
+# -- a single source's first batch == bitset == key table -----------------------
+
+#: Cardinality of the two wide columns ``W`` and ``X``.  A set binding
+#: both has radix >= 300 * 300 = 90,000, past the dense rule at these
+#: row counts (``max(1 << 16, 8 * rows)``), so it takes the sort one-shot;
+#: every other set holding ``W`` stays dense.
+WIDE_CARDINALITY = 300
+
+
+@st.composite
+def first_batch_case(draw, allow_missing):
+    """A relation with the two wide columns, a dense and a sort-path
+    attribute set over it, and query codes drawn from the domains."""
+    data = draw(datasets(allow_missing=allow_missing))
+    narrow = list(data.attribute_names)
+    for name in ("W", "X"):
+        domain = tuple(f"{name}{j:03d}" for j in range(WIDE_CARDINALITY))
+        values = draw(
+            st.lists(
+                st.sampled_from(
+                    list(domain) + ([None] if allow_missing else [])
+                ),
+                min_size=data.n_rows,
+                max_size=data.n_rows,
+            )
+        )
+        data = data.with_column(name, values, domain=domain)
+    extra = tuple(
+        draw(st.lists(st.sampled_from(narrow), max_size=2, unique=True))
+    )
+    cases = []
+    for attrs in (("W",) + extra, ("W", "X") + extra):
+        cards = [data.schema[a].cardinality for a in attrs]
+        combos = np.array(
+            [
+                [draw(st.integers(0, card - 1)) for card in cards]
+                for _ in range(draw(st.integers(1, 8)))
+            ],
+            dtype=np.int32,
+        ).reshape(-1, len(attrs))
+        cases.append((attrs, combos))
+    return data, cases
+
+
+@SETTINGS
+@given(st.data(), st.booleans())
+def test_first_batch_matches_bitset_and_key_table(
+    data_strategy, allow_missing
+):
+    """``counts_for_codes`` on a fresh one-source counter — the dense
+    ``bincount`` and the sort one-shot alike — equals the bitset counts
+    and the repeat batch's key table, counts an absent combination 0,
+    and caches no key table."""
+    data, cases = data_strategy.draw(first_batch_case(allow_missing))
+    dense = [
+        _dense_fits(
+            math.prod(data.schema[a].cardinality for a in attrs),
+            data.n_rows,
+        )
+        for attrs, _ in cases
+    ]
+    assert dense == [True, False]  # both branches run
+    w_codes = set(data.codes("W").tolist())
+    absent_w = next(c for c in range(WIDE_CARDINALITY) if c not in w_codes)
+    for attrs, combos in cases:
+        absent = combos[:1].copy()
+        absent[0, 0] = absent_w  # no row holds this W value
+        combos = np.vstack([combos, absent])
+        counter = PatternCounter(data)
+        first = counter.counts_for_codes(attrs, combos)
+        assert first.dtype == np.int64
+        assert not counter._key_tables
+        assert not counter.sources[0]._key_tables
+        bitset = [
+            counter.count(counter.pattern_from_codes(attrs, row))
+            for row in combos
+        ]
+        assert first.tolist() == bitset
+        assert first[-1] == 0
+        repeat = counter.counts_for_codes(attrs, combos)
+        assert counter._key_tables[attrs] is not None  # the key table path
+        assert repeat.tolist() == bitset
 
 
 # -- batched evaluate_label == scalar -------------------------------------------
