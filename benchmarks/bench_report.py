@@ -357,6 +357,29 @@ def run(rows: int, queries: int, rounds: int, bound: int) -> dict:
         },
     )
 
+    #    And one top-down fit over P_A end to end, sizing and evaluation
+    #    (fresh counter per round, as above).  Of the subsets the search
+    #    examines (Figure 9's count), only the ones the previous lattice
+    #    level leaves undecided are sized against the data.
+    def top_down_fit():
+        return top_down_search(PatternCounter(dataset), bound)
+
+    fit_stats = top_down_fit().stats
+    fit_s = _median_seconds(top_down_fit, rounds)
+    scenarios["search_scaling/top_down_fit"] = {
+        "median_s": round(fit_s, 6),
+        "rows": rows,
+        "bound": bound,
+        "subsets_examined": fit_stats.subsets_examined,
+        "subsets_sized": fit_stats.subsets_sized,
+        "labels_evaluated": fit_stats.labels_evaluated,
+    }
+    print(
+        f"  {'search_scaling/top_down_fit':<42} fit    "
+        f"{fit_s * 1e3:9.2f} ms   examined {fit_stats.subsets_examined}   "
+        f"sized {fit_stats.subsets_sized}"
+    )
+
     # 9. The serving layer: N client threads hammering the micro-batcher
     #    vs the naive per-request loop (one scalar Est(p, l) call per
     #    request — what a server without the batcher would do).  Traffic

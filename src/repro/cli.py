@@ -252,9 +252,10 @@ def _fit_session(args: argparse.Namespace, path: str) -> LabelingSession:
         # strategy degrades instead); distinct exit code so scripts can
         # retry with a looser budget or switch to --algorithm anytime.
         _fail(
-            f"label search timed out during {exc.phase} after sizing "
-            f"{exc.stats.subsets_examined} subsets (raise --time-limit "
-            "or use --algorithm anytime)",
+            f"label search timed out during {exc.phase} after examining "
+            f"{exc.stats.subsets_examined} subsets "
+            f"({exc.stats.subsets_sized} sized against the data); raise "
+            "--time-limit or use --algorithm anytime",
             EXIT_TIMEOUT,
         )
     except (ValueError, OSError) as exc:

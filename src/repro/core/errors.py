@@ -461,6 +461,12 @@ class BatchLabelEvaluator:
         """The target set ``P`` this evaluator encodes."""
         return self._pattern_set
 
+    @property
+    def vectorizable(self) -> bool:
+        """True when :meth:`estimates` serves this set (a tabular set, or
+        a relation without missing values)."""
+        return self._vectorizable
+
     def _fraction_column(
         self, group_index: int, attribute: str, position: int
     ) -> np.ndarray:
@@ -519,8 +525,10 @@ class BatchLabelEvaluator:
             for position, attribute in enumerate(attrs):
                 if attribute in label_set:
                     continue
-                estimates = estimates * self._fraction_column(
-                    group_index, attribute, position
+                np.multiply(
+                    estimates,
+                    self._fraction_column(group_index, attribute, position),
+                    out=estimates,
                 )
             if len(attrs) < self._n_attributes:
                 self._group_estimates[(group_index, shared)] = estimates
@@ -549,8 +557,12 @@ class BatchLabelEvaluator:
             for position, attribute in enumerate(order):
                 if attribute in label_set:
                     continue
-                estimates = estimates * self._range_fraction_column(
-                    group_index, attribute, position
+                np.multiply(
+                    estimates,
+                    self._range_fraction_column(
+                        group_index, attribute, position
+                    ),
+                    out=estimates,
                 )
             if len(order) < self._n_attributes:
                 self._range_group_estimates[(group_index, shared)] = (

@@ -10,7 +10,9 @@ concerns:
   the driver feeds whole batches to the counter's ``label_size_many``
   kernel (plain or sharded, see :meth:`SearchDriver.size_many`), so a
   lattice level costs one vectorized call instead of ``C(n, k)`` scalar
-  ``label_size`` calls;
+  ``label_size`` calls; :meth:`SearchDriver.fit_level` first decides
+  what the previous level's sizes already settle, and batches only the
+  rest;
 * **candidate evaluation** — scoring candidates against the pattern set
   through one shared :class:`~repro.core.errors.BatchLabelEvaluator`
   (the set is encoded once per search, not once per candidate).
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -84,8 +86,13 @@ class SearchStats:
     Attributes
     ----------
     subsets_examined:
-        Number of attribute subsets whose label size was computed — the
-        quantity plotted in Figure 9 ("# cands generated").
+        Number of attribute subsets the search generated and decided
+        (fits the budget or not) — the quantity plotted in Figure 9
+        ("# cands generated").
+    subsets_sized:
+        Number of those subsets whose label size was computed against
+        the data; the rest were decided from the lattice alone (see
+        :meth:`SearchDriver.fit_level`).
     labels_evaluated:
         Number of candidates whose error was evaluated against ``P``.
     search_seconds:
@@ -96,6 +103,7 @@ class SearchStats:
     """
 
     subsets_examined: int = 0
+    subsets_sized: int = 0
     labels_evaluated: int = 0
     search_seconds: float = 0.0
     evaluation_seconds: float = 0.0
@@ -151,9 +159,9 @@ class SearchDriver:
     size_fn:
         Alternative scalar label size measure (e.g.
         :func:`repro.core.sizing.pc_bytes`); when given, sizing runs
-        through it one subset at a time instead of the batched kernel.
-        Must be monotone non-decreasing under attribute addition for
-        lattice pruning to stay sound.
+        through it one subset at a time instead of the batched kernel,
+        and :meth:`fit_level` sizes every subset it is given, deciding
+        none from the lattice.
     time_limit_seconds:
         Unified wall-clock budget covering sizing *and* evaluation.
     raise_on_deadline:
@@ -218,7 +226,8 @@ class SearchDriver:
         if self._raise_on_deadline and self.out_of_time:
             raise SearchTimeout(
                 f"search exceeded {self._time_limit:g}s during {phase} "
-                f"after sizing {self.stats.subsets_examined} subsets and "
+                f"after examining {self.stats.subsets_examined} subsets "
+                f"({self.stats.subsets_sized} sized against the data) and "
                 f"evaluating {self.stats.labels_evaluated} candidates",
                 self.stats,
                 phase=phase,
@@ -233,7 +242,7 @@ class SearchDriver:
 
         One ``label_size_many`` kernel call per :data:`SIZING_CHUNK`
         subsets (a custom ``size_fn`` runs one subset at a time
-        instead).  Updates ``subsets_examined``,
+        instead).  Updates ``subsets_examined`` and ``subsets_sized``,
         accrues ``search_seconds``, and checks the deadline between
         chunks — always *after* the first chunk, so timeout stats are
         never empty.
@@ -253,6 +262,7 @@ class SearchDriver:
                     sizes = self.counter.label_size_many(chunk)
                 out[low : low + len(chunk)] = sizes
                 self.stats.subsets_examined += len(chunk)
+                self.stats.subsets_sized += len(chunk)
                 self.check_deadline("sizing")
         finally:
             self.stats.search_seconds += self._clock() - start
@@ -269,6 +279,81 @@ class SearchDriver:
             for subset, size in zip(subsets, sizes)
             if size <= self.bound
         ]
+
+    def fit_level(
+        self,
+        children: Sequence[tuple[str, ...]],
+        known: Mapping[tuple[str, ...], int],
+    ) -> dict[tuple[str, ...], int]:
+        """The fitting subsets of one lattice level, with their known sizes.
+
+        ``children`` is one BFS level of ``gen`` children, and ``known``
+        maps every fitting subset of the previous level to its size:
+        exact, or a certified upper bound.  Under the built-in ``|P_S|``
+        sizing, two rules decide a child from ``known`` alone:
+
+        * **Apriori** (the candidate pruning of Agrawal & Srikant, VLDB
+          1994): a child of three or more attributes with a parent
+          missing from ``known`` is over the bound.  The BFS generated
+          every fitting parent, and label size is monotone from two
+          attributes up.  It is not from one: with missing values a
+          singleton's size bounds no pair's (Lemma A.8 charges no
+          one-attribute projection).
+        * **Product bound**: ``|P_{T ∪ a}| <= |P_T| * |dom(a)|`` for
+          every parent ``T``.  When the smallest of these fits the
+          budget, the child fits, and that bound is its known size.  It
+          holds only on a relation without missing values: a partial
+          tuple can add a projection that no parent's projection
+          extends.
+
+        Every other child is sized against the data in one
+        :meth:`size_many` batch; under a custom ``size_fn`` that is every
+        child, since neither rule holds for an arbitrary measure.  All
+        children count in ``subsets_examined``, the batch alone in
+        ``subsets_sized``.  The deadline is checked even when no child
+        needs sizing.
+
+        Returns the fitting children, in ``children`` order, each mapped
+        to its known size — the ``known`` of the next level.
+        """
+        children = list(children)
+        certified: dict[tuple[str, ...], int] = {}
+        undecided: list[tuple[str, ...]] = []
+        start = self._clock()
+        if self._size_fn is None:
+            schema = self.counter.schema
+            domain = {name: schema[name].cardinality for name in self.names}
+            product = not self.counter.dataset.has_missing
+            for child in children:
+                parents = [
+                    child[:i] + child[i + 1 :] for i in range(len(child))
+                ]
+                if len(child) >= 3 and not all(p in known for p in parents):
+                    continue  # Apriori: over the bound
+                if product:
+                    upper = min(
+                        known[parent] * domain[added]
+                        for parent, added in zip(parents, child)
+                    )
+                    if upper <= self.bound:
+                        certified[child] = upper
+                        continue
+                undecided.append(child)
+        else:
+            undecided = children
+        self.stats.subsets_examined += len(children) - len(undecided)
+        self.stats.search_seconds += self._clock() - start
+        if undecided:
+            sized = dict(zip(undecided, self.size_many(undecided).tolist()))
+        else:
+            sized = {}
+            self.check_deadline("sizing")
+        fitting: dict[tuple[str, ...], int] = {}
+        for child in children:
+            size = certified.get(child, sized.get(child))
+            if size is not None and size <= self.bound:
+                fitting[child] = size
+        return fitting
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -321,6 +406,13 @@ class SearchDriver:
         is checked per candidate (the evaluation phase is covered by the
         same budget as sizing), and ties break canonically.
 
+        A ``MAX_ABS`` search over a vectorized evaluator scores each
+        candidate by ``max |c - est|`` alone, with the expression of
+        :meth:`ErrorSummary.from_arrays`, and keeps the leader's
+        estimates; the winner's full summary is built from them once.
+        The winner is not re-evaluated: a second count batch over one
+        attribute set would build (and a pack would persist) a key table.
+
         Raises
         ------
         NoFeasibleLabelError
@@ -328,22 +420,39 @@ class SearchDriver:
         SearchTimeout
             If the unified deadline fires mid-evaluation.
         """
+        evaluator = self.evaluator
+        counts = np.asarray(self.pattern_set.counts, dtype=np.float64)
+        max_abs_only = (
+            self.objective is Objective.MAX_ABS
+            and evaluator.vectorizable
+            and counts.size > 0
+        )
         best: tuple[str, ...] | None = None
         best_summary: ErrorSummary | None = None
+        best_estimates: np.ndarray | None = None
         best_value = float("inf")
         start = self._clock()
         try:
             for candidate in candidates:
-                summary = self.evaluator.evaluate(candidate)
+                summary: ErrorSummary | None = None
+                if max_abs_only:
+                    estimates = evaluator.estimates(candidate)
+                    value = float(np.abs(counts - estimates).max())
+                else:
+                    summary = evaluator.evaluate(candidate)
+                    value = self.objective.of(summary)
                 self.stats.labels_evaluated += 1
-                value = self.objective.of(summary)
                 if self.better(candidate, value, best, best_value):
-                    best, best_summary, best_value = (
-                        candidate,
-                        summary,
-                        value,
-                    )
+                    best, best_value = candidate, value
+                    if max_abs_only:
+                        best_estimates = estimates
+                    else:
+                        best_summary = summary
                 self.check_deadline("evaluation")
+            if best_estimates is not None:
+                best_summary = ErrorSummary.from_arrays(
+                    counts, best_estimates
+                )
         finally:
             self.stats.evaluation_seconds += self._clock() - start
         if best is None or best_summary is None:

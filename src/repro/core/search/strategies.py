@@ -12,10 +12,13 @@ batched evaluation, unified deadlines):
 
 * :func:`top_down_search` — Algorithm 1: a BFS over the label lattice
   driven by the duplicate-free ``gen`` operator.  Only children whose
-  label size fits the budget are expanded; the candidate list is kept an
-  antichain by removing each new candidate's parents (justified by
-  Proposition 3.2 — a superset's label is empirically at least as
-  accurate); finally, only the surviving candidates are error-evaluated.
+  label size fits the budget are expanded, and only children the
+  previous level's sizes leave undecided are sized against the data
+  (:meth:`~repro.core.search.driver.SearchDriver.fit_level`); the
+  candidate list is kept an antichain by removing each new candidate's
+  parents (justified by Proposition 3.2 — a superset's label is
+  empirically at least as accurate); finally, only the surviving
+  candidates are error-evaluated.
 
 * :func:`beam_search` — width-limited frontier, best-objective-first:
   each lattice level keeps only the ``beam_width`` best-scoring fitting
@@ -125,9 +128,13 @@ def top_down_search(
     """Algorithm 1: top-down lattice traversal with parent pruning.
 
     The BFS runs level-synchronous: every fitting node's ``gen``
-    children are collected and sized in one batched call per level
-    (``gen`` produces each node at most once across parents, Proposition
-    3.8, so no dedup pass is needed).
+    children are collected into one level (``gen`` produces each node at
+    most once across parents, Proposition 3.8, so no dedup pass is
+    needed), and :meth:`SearchDriver.fit_level` decides which of them
+    fit: from the previous level's sizes where Apriori pruning or the
+    product bound settles a child, in one batched sizing call for the
+    rest.  ``stats.subsets_examined`` counts every generated child,
+    ``stats.subsets_sized`` the ones sized against the data.
 
     Parameters
     ----------
@@ -144,9 +151,11 @@ def top_down_search(
         fitting subset in the candidate list — an ablation that quantifies
         how many error evaluations the antichain maintenance saves.
     size_fn:
-        Alternative label size measure (default ``|P_S|``).  Must be
-        monotone non-decreasing under attribute addition for the pruning
-        to stay sound — e.g. :func:`repro.core.sizing.pc_bytes`.
+        Alternative label size measure (default ``|P_S|``), e.g.
+        :func:`repro.core.sizing.pc_bytes`.  The BFS expands only fitting
+        subsets, so it finds every fitting subset only when the measure
+        never shrinks as attributes are added.  Every generated child is
+        sized through it: the lattice rules hold for ``|P_S|`` alone.
     time_limit_seconds:
         Unified wall-clock budget over sizing *and* evaluation.
 
@@ -166,7 +175,12 @@ def top_down_search(
         time_limit_seconds=time_limit_seconds,
     )
     names = driver.names
-    frontier: list[tuple[str, ...]] = gen_children(names, ())
+    schema = driver.counter.schema
+    # The frontier with each node's known size: every singleton, bounded
+    # by its domain (singletons are expanded unsized).
+    frontier: dict[tuple[str, ...], int] = {
+        node: schema[node[0]].cardinality for node in gen_children(names, ())
+    }
     cands: set[tuple[str, ...]] = set()
     while frontier:
         children = [
@@ -176,22 +190,17 @@ def top_down_search(
         ]
         if not children:
             break
-        sizes = driver.size_many(children)
-        frontier = []
-        for child, size in zip(children, sizes):
-            if size <= driver.bound:
-                frontier.append(child)
-                if prune_parents:
-                    # Removing direct parents keeps cands an antichain:
-                    # the BFS generates every fitting subset level by
-                    # level, so each ancestor was pruned when its own
-                    # child arrived (label size is monotone, hence every
-                    # intermediate subset of a fitting set also fits).
-                    for attribute in child:
-                        cands.discard(
-                            tuple(a for a in child if a != attribute)
-                        )
-                cands.add(child)
+        frontier = driver.fit_level(children, frontier)
+        for child in frontier:
+            if prune_parents:
+                # Removing direct parents keeps cands an antichain: the
+                # BFS generates every fitting subset level by level, so
+                # each ancestor was pruned when its own child arrived
+                # (label size is monotone, hence every intermediate
+                # subset of a fitting set also fits).
+                for attribute in child:
+                    cands.discard(tuple(a for a in child if a != attribute))
+            cands.add(child)
     ordered_cands = sorted(cands, key=lambda c: (len(c), c))
     best, summary, value = driver.select_best(ordered_cands)
     return driver.result(best, summary, value, candidates=ordered_cands)

@@ -6,20 +6,25 @@ limit (a metadata field, an HTTP header, a catalog column), the proxy is
 too coarse: combinations over long category names cost more to store.
 This module provides
 
-* :func:`pc_bytes` — the serialized size of the ``PC`` component for an
-  attribute subset, computed directly from the joint table (UTF-8 value
-  strings + a fixed per-count cost), without building the label;
+* :func:`pc_bytes` — the serialized size of the ``PC`` component that
+  :func:`~repro.core.label.build_label` stores for an attribute subset
+  (UTF-8 value strings + a fixed per-count cost), computed from the
+  stored patterns' codes without building the label;
 * :func:`label_bytes` — the full label's serialized JSON size;
 * :func:`find_optimal_label_bytes` — the optimal-label search under a
-  *byte* budget, reusing Algorithm 1 unchanged: ``pc_bytes`` is monotone
-  under attribute addition (refining a partition only adds rows and
-  every row only gets longer), which is the only property the top-down
-  pruning needs.
+  *byte* budget, reusing Algorithm 1 with ``pc_bytes`` as its size
+  measure.  From two attributes up, ``pc_bytes`` never shrinks when an
+  attribute is added: each stored pattern of the smaller subset is the
+  restriction of a distinct stored pattern of the larger one that binds
+  the same values or more.  That is the property the top-down pruning
+  needs.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.counts import PatternCounter
 from repro.core.errors import Objective
@@ -39,29 +44,36 @@ def pc_bytes(
 ) -> int:
     """Serialized size (bytes) of the ``PC`` over ``attributes``.
 
-    Each stored combination costs the UTF-8 length of its value strings
-    plus :data:`COUNT_BYTES` for the count.  Computed straight from the
-    joint table so the search never materializes labels.
+    Charges exactly what ``build_label(source, attributes).pc`` stores:
+    :data:`COUNT_BYTES` per stored pattern plus the UTF-8 length of each
+    value it binds.  On a relation with missing values those patterns
+    are the partial projections of Appendix A (see
+    :meth:`~repro.dataset.table.Dataset.pattern_projections`), and a
+    value a projection leaves unbound costs nothing.  Computed from the
+    patterns' codes so the search never materializes labels.
     """
     counter = (
         source if isinstance(source, PatternCounter) else PatternCounter(source)
     )
     if not attributes:
         return 0
-    schema = counter.dataset.schema
-    combos, _counts = counter.joint_table(tuple(attributes))
-    value_bytes = {
-        attribute: [
-            len(str(category).encode("utf-8"))
-            for category in schema[attribute].categories
-        ]
-        for attribute in attributes
-    }
-    total = 0
-    for row in combos:
-        total += COUNT_BYTES
-        for attribute, code in zip(attributes, row):
-            total += value_bytes[attribute][int(code)]
+    attributes = tuple(attributes)
+    dataset = counter.dataset
+    if dataset.has_missing:
+        combos, _ = dataset.pattern_projections(list(attributes))
+    else:
+        combos, _ = counter.joint_table(attributes)
+    total = COUNT_BYTES * len(combos)
+    for position, attribute in enumerate(attributes):
+        value_bytes = np.array(
+            [
+                len(str(category).encode("utf-8"))
+                for category in dataset.schema[attribute].categories
+            ],
+            dtype=np.int64,
+        )
+        codes = combos[:, position]
+        total += int(value_bytes[codes[codes >= 0]].sum())
     return total
 
 

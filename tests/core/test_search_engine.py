@@ -85,6 +85,20 @@ class TestUnifiedDeadlines:
         )
 
 
+class TestSelectBest:
+    @pytest.mark.parametrize("search", [top_down_search, naive_search])
+    def test_each_candidate_is_counted_once(self, bluenile_small, search):
+        """The winner is not evaluated a second time: a repeat count
+        batch over its attribute set would build a key table, and a pack
+        would persist it."""
+        counter = PatternCounter(bluenile_small)
+        result = search(counter, 40)
+        assert result.stats.labels_evaluated > 1
+        (source,) = counter.sources
+        roles = {role for role, _, _ in source.persisted_arrays()}
+        assert "key_keys" not in roles
+
+
 class TestBeamSearch:
     def test_unlimited_width_matches_naive(self, bluenile_small):
         reference = naive_search(bluenile_small, 40)

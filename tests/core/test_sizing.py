@@ -1,8 +1,10 @@
 """Tests for byte-level label sizing and the byte-budget search."""
 
+import itertools
+
 import pytest
 
-from repro import PatternCounter, build_label
+from repro import Dataset, PatternCounter, ShardedPatternCounter, build_label
 from repro.core.sizing import (
     COUNT_BYTES,
     find_optimal_label_bytes,
@@ -39,9 +41,40 @@ class TestPcBytes:
                     counter, subset
                 )
 
-    def test_long_value_names_cost_more(self):
-        from repro import Dataset
+    def test_charges_partial_projections_with_missing_values(self):
+        """With missing values ``PC`` stores Appendix A's partial
+        projections, each charged for the values it binds."""
+        data = Dataset.from_columns(
+            {
+                "a": ["x", "y", "x"],
+                "b": [None, None, "x"],
+                "c": ["x", "y", "x"],
+            }
+        )
+        # PC over (a, b, c): (x, -, x), (y, -, y) and (x, x, x).  Sized
+        # from complete rows only, it was one 11-byte pattern: below the
+        # 20 bytes of (a, c), its subset.
+        assert pc_bytes(data, ("a", "b", "c")) == 3 * COUNT_BYTES + 7
+        assert pc_bytes(data, ("a", "c")) == 2 * COUNT_BYTES + 4
+        for counter in (
+            PatternCounter(data),
+            ShardedPatternCounter.from_dataset(data, 2),
+        ):
+            for size in (1, 2, 3):
+                for subset in itertools.combinations("abc", size):
+                    label = build_label(counter, subset)
+                    expected = sum(
+                        COUNT_BYTES
+                        + sum(
+                            len(str(v).encode())
+                            for v in combo
+                            if v is not None
+                        )
+                        for combo in label.pc
+                    )
+                    assert pc_bytes(counter, subset) == expected, subset
 
+    def test_long_value_names_cost_more(self):
         short = Dataset.from_columns(
             {"a": ["x", "y"] * 5, "b": ["1", "2"] * 5}
         )

@@ -814,6 +814,24 @@ class TestSearchStrategyFlags:
             )
         assert info.value.code == EXIT_TIMEOUT
 
+    def test_timeout_reports_examined_and_sized_subsets(
+        self, csv_path, capsys
+    ):
+        """Under a loose bound the top-down search certifies every pair
+        from domain sizes alone, so none of them was sized."""
+        from repro.cli import EXIT_TIMEOUT
+
+        with pytest.raises(SystemExit) as info:
+            main(
+                ["label", str(csv_path), "--bound", "1000", "--time-limit",
+                 "1e-9"]
+            )
+        assert info.value.code == EXIT_TIMEOUT
+        assert (
+            "after examining 6 subsets (0 sized against the data)"
+            in capsys.readouterr().err
+        )
+
     def test_invalid_beam_width_rejected(self, csv_path):
         from repro.cli import EXIT_USAGE
 
