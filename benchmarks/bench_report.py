@@ -643,12 +643,11 @@ def run(rows: int, queries: int, rounds: int, bound: int) -> dict:
     #    every 8th batch, and published as a versioned snapshot swap per
     #    batch.  Before timing, a cold WAL replay is asserted
     #    byte-identical to the synchronous maintainer (the durability
-    #    contract), the last drift check's error is asserted equal to a
-    #    ``count_many`` recount of its sample, and the per-publish swap
-    #    latency — the reader-visible pause bound — must stay under
+    #    contract), the last drift check's error is asserted equal to an
+    #    independent recount of the monitor's panel, and the per-publish
+    #    swap latency — the reader-visible pause bound — must stay under
     #    10 ms at p99.
     from repro import StreamConfig  # noqa: E402
-    from repro.core.errors import evaluate_label  # noqa: E402
     from repro.core.maintenance import apply_inserts  # noqa: E402
     from repro.stream import StreamIngestor, WriteAheadLog  # noqa: E402
 
@@ -717,25 +716,27 @@ def run(rows: int, queries: int, rounds: int, bound: int) -> dict:
         # Durability contract: a cold replay of the WAL the streamed
         # run wrote reconstructs the synchronous label byte-identically.
         streamed()
-        # Drift contract: the last check's sampled error equals the
-        # batch kernel's recount of the same sample.  That check ran on
-        # the last batch, and compaction keeps the row order, so the
-        # final counter holds the rows it sampled.
+        # Drift contract: the last check's error equals an independent
+        # recount of the monitor's panel — counts from the batch kernel
+        # instead of the check's row bitsets — per live row.  That check
+        # ran on the last batch, and compaction keeps the rows, so the
+        # final counter holds the rows it counted.
         last_ingestor[0].join()
         drift, drift_label = last_checks[-1]
+        monitor = last_ingestor[0].drift_monitor
         drift_counter = last_ingestor[0].counter
-        drift_sample = random_pattern_workload(
-            drift_counter,
-            stream_config.drift_sample,
-            np.random.default_rng(stream_config.seed + len(last_checks) - 1),
-            min_arity=1,
-            max_arity=min(4, len(drift_counter.schema)),
-        )
-        recount = evaluate_label(drift_counter, drift_label, drift_sample)
-        if recount.max_abs != drift.error:
+        if monitor.researches or not monitor.panel:
+            raise AssertionError(
+                "streaming_ingest: a re-search replaced the drift panel"
+            )
+        estimates = LabelEstimator(drift_label).estimate_many(monitor.panel)
+        recount = np.abs(
+            np.asarray(estimates) - drift_counter.count_many(monitor.panel)
+        ).max() / drift_counter.total_rows
+        if recount != drift.error:
             raise AssertionError(
                 f"streaming_ingest: drift check error {drift.error} != "
-                f"count_many recount {recount.max_abs}"
+                f"count_many recount {recount} of its panel"
             )
         replayed = _fresh_ingestor(replay_of=last_ingestor[0].wal.directory)
         sync_label = build_label(PatternCounter(dataset), stream_attrs)

@@ -13,10 +13,11 @@ live ``repro.serve`` endpoint, in two acts:
   artifact — the recovered label is byte-identical to the live one.
 * **drift + re-search** — a second label fit on independent data is
   fed batches where one attribute is a function of another; the drift
-  monitor's sampled recounts flag the maintained label stale, a
-  budgeted ``anytime`` re-search runs on a background thread, and the
-  winning label hot-swaps through the same publish path the batches
-  use.
+  monitor recounts its fixed pattern panel at every check, the label's
+  max error per row on it climbs past the baseline and flags the label
+  stale, a budgeted ``anytime`` re-search runs on a background thread,
+  and the winning label hot-swaps through the same publish path the
+  batches use (the next check draws a new panel and rebases on it).
 
 Run:  python examples/streaming_server.py
 """
@@ -132,8 +133,9 @@ def drift_and_research(workdir: Path) -> None:
         if status.drift is not None:
             flag = "STALE" if status.drift.stale else "ok"
             print(
-                f"  seq={status.seq}: drift error {status.drift.error:.2f} "
-                f"(baseline {status.drift.baseline:.2f}) -> {flag}"
+                f"  seq={status.seq}: drift error per row "
+                f"{status.drift.error:.4f} (baseline "
+                f"{status.drift.baseline:.4f}) -> {flag}"
             )
     assert ingestor.join(timeout=60), "background re-search still running"
     monitor = ingestor.drift_monitor

@@ -579,11 +579,14 @@ class StreamConfig:
     * ``pack_dir`` — checkpoint each compaction as a ``repro-pack/1``
       directory and truncate the WAL through the checkpointed batch.
     * ``drift_threshold`` — flag the maintained label stale when its
-      sampled-recount max error exceeds this factor of the baseline
-      error; staleness kicks off an ``anytime`` re-search under
-      ``research_budget_seconds`` wall-clock on a background thread.
-    * ``drift_check_every`` / ``drift_sample`` — recount cadence
-      (batches between checks) and sampled workload size.
+      max error per row over the drift panel exceeds this factor of the
+      baseline (the first check on the panel); staleness kicks off an
+      ``anytime`` re-search under ``research_budget_seconds`` wall-clock
+      on a background thread.
+    * ``drift_check_every`` / ``drift_sample`` — check cadence (batches
+      between checks) and panel size: the number of tuple-sampled
+      patterns drawn once per start-up or re-search and recounted at
+      every check.
     * ``research_bound`` — ``|PC|`` budget of the re-search; ``None``
       re-uses the current label's size (always feasible: the current
       subset witnesses its own bound).

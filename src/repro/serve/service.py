@@ -7,8 +7,9 @@ front of the :class:`~repro.serve.store.LabelStore` and the
 * ``GET  /labels`` — catalog of published labels (name, version, kind,
   ``|PC|``, ``|D|``, estimator backend);
 * ``GET  /stats`` — serving telemetry: per-worker micro-batch counters,
-  result-cache occupancy and hit rate, and the store's
-  publish-generation counter;
+  result-cache occupancy and hit rate, the store's publish-generation
+  counter, and per streamed label its WAL seq, batches, shards,
+  compactions, detach reason, background failures and drift checks;
 * ``GET  /labels/<name>`` — one label's catalog entry;
 * ``GET  /labels/<name>/card`` — the nutrition card (``?format=text|
   markdown|html``; subset labels only);
@@ -523,7 +524,8 @@ class LabelService:
         return self.workers.cache
 
     def stats(self) -> dict[str, Any]:
-        """The ``GET /stats`` payload: workers, cache, store generation."""
+        """The ``GET /stats`` payload: workers, cache, store generation,
+        and each streamed label's ingest and drift state."""
         cache = self.workers.cache
         return {
             "workers": self.workers.describe(),
@@ -535,6 +537,10 @@ class LabelService:
                     snapshot.name: snapshot.version
                     for snapshot in self.store.snapshots()
                 },
+            },
+            "streams": {
+                name: ingestor.describe()
+                for name, ingestor in list(self.streams.items())
             },
         }
 

@@ -10,8 +10,8 @@ label search and a live, updating relation:
   compaction folds shard tails off the reader path.
 * :mod:`repro.stream.publish` — the single versioned copy-on-write
   publish path into a :class:`~repro.serve.store.LabelStore`.
-* :mod:`repro.stream.drift` — sampled-recount drift checks and the
-  budgeted background re-search trigger.
+* :mod:`repro.stream.drift` — drift checks on a fixed pattern panel
+  and the budgeted background re-search trigger.
 
 Configuration lives in :class:`~repro.api.registry.StreamConfig`; the
 session entry point is :meth:`repro.api.session.LabelingSession.stream`.

@@ -33,10 +33,11 @@ compaction also checkpoints the counter and label to a
 :mod:`repro.persist` pack and truncates the WAL through the last
 checkpointed batch.
 
-**Drift** is checked every ``drift_check_every`` batches with a sampled
-recount (see :class:`~repro.stream.drift.DriftMonitor`); a stale label
-triggers a budgeted background re-search whose winner is rebuilt from
-the *live* counter and hot-swapped through the same publish path.
+**Drift** is checked every ``drift_check_every`` batches by scoring the
+label on a fixed panel of patterns recounted on the live counter (see
+:class:`~repro.stream.drift.DriftMonitor`); a stale label triggers a
+budgeted background re-search whose winner is rebuilt from the *live*
+counter and hot-swapped through the same publish path.
 
 Batches that the counter's frozen schema cannot encode (a value outside
 the active domain) and delete batches **detach the counter**:
@@ -237,6 +238,23 @@ class StreamIngestor:
         """WAL sequence of the last applied batch (0 before any)."""
         return self._last_seq
 
+    def describe(self) -> dict[str, Any]:
+        """This stream's entry in ``GET /stats``.
+
+        Plain attribute reads, no lock: a read racing a batch may mix
+        values from either side of it.
+        """
+        counter, error = self._counter, self.compact_error
+        return {
+            "seq": self._last_seq,
+            "batches": self._applied,
+            "shards": counter.n_shards if counter is not None else 0,
+            "compactions": self.compactions,
+            "detached": self._detached,
+            "compact_error": None if error is None else repr(error),
+            "drift": None if self._drift is None else self._drift.describe(),
+        }
+
     # -- recovery ---------------------------------------------------------------
 
     def _replay(self) -> None:
@@ -328,21 +346,24 @@ class StreamIngestor:
         self._since_drift_check = 0
         return self._drift.check(self._label)
 
-    def _swap_research(self, result: "SearchResult") -> float | None:
+    def _swap_research(self, result: "SearchResult") -> None:
         """Publish a re-search winner, rebuilt from the *live* counter.
 
         Runs on the research thread.  The label is rebuilt under the
         ingest lock so batches applied while the search ran are
-        included; readers only see the final snapshot swap.
+        included; readers only see the final snapshot swap.  The drift
+        monitor drops its panel in the same critical section (checks
+        run under this lock too), so the next check draws a new panel
+        and rebases on the new label.
         """
         with self._lock:
             counter = self._counter
             if counter is None:  # detached mid-search; keep current label
-                return None
+                return
             label = build_label(counter, result.label.attributes)
             self._label = label
             self._publisher.publish(label)
-        return None
+            self._drift.reset()
 
     # -- compaction -------------------------------------------------------------
 

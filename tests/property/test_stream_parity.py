@@ -9,6 +9,7 @@ of the streaming subsystem.  Under it, the one write step every update
 path shares, :func:`~repro.core.maintenance.apply_batch`, must leave a
 label and a counter that answer exactly like a counter over the
 concatenated rows, and must never change the counter it was given.
+Every drift check on the way scores the label on its panel exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import (
     Dataset,
+    LabelEstimator,
     PatternCounter,
     StreamConfig,
     build_label,
@@ -168,3 +170,59 @@ def test_apply_batch_equals_counting_the_concatenation(
     _, dropped, reason = apply_batch(label, counter, inserted=novel)
     assert dropped is None and "domains" in reason
     assert counter.total_rows == reference.total_rows
+
+
+def _recount(rows: np.ndarray, names: list[str], pattern) -> int:
+    """``c_D(pattern)`` by comparing the raw values of every row."""
+    mask = np.ones(len(rows), dtype=bool)
+    for attribute, value in pattern.items_sorted:
+        mask &= rows[:, names.index(attribute)] == value
+    return int(mask.sum())
+
+
+@pytest.mark.parametrize("allow_missing", [False, True])
+@pytest.mark.parametrize("n_shards", [1, 3])
+@SETTINGS
+@given(draw=st.data())
+def test_drift_checks_score_the_panel_exactly(n_shards, allow_missing, draw):
+    """After every batch, the drift check's error is max |c_D(p) -
+    Est(p, l)| over the monitor's panel per live row, with ``c_D``
+    recounted here over the raw rows; the panel is one object while no
+    re-search rebases it (the threshold keeps every check fresh)."""
+    data, subset, batches = draw.draw(stream_case(allow_missing))
+    names = list(data.attribute_names)
+    workdir = Path(tempfile.mkdtemp())
+    try:
+        ingestor = StreamIngestor(
+            build_label(PatternCounter(data), subset),
+            wal=WriteAheadLog(workdir / "wal", fsync=False),
+            counter=PatternCounter.from_dataset(data, n_shards),
+            config=StreamConfig(
+                drift_check_every=1,
+                drift_threshold=1e9,
+                drift_sample=32,
+                fsync=False,
+            ),
+        )
+        monitor = ingestor.drift_monitor
+        rows = [[row[a] for a in names] for row in data.iter_rows()]
+        panel = None
+        for batch in batches:
+            status = ingestor.submit(inserted=batch).drift
+            rows += [[row[a] for a in names] for row in batch.iter_rows()]
+            if panel:
+                assert monitor.panel is panel
+            panel = monitor.panel
+            live = np.array(rows, dtype=object)
+            truths = np.array(
+                [_recount(live, names, p) for p in panel], dtype=np.float64
+            )
+            estimates = np.asarray(
+                LabelEstimator(ingestor.label).estimate_many(panel)
+            )
+            expected = np.abs(estimates - truths).max(initial=0.0) / len(rows)
+            assert status.error == expected
+            assert not status.stale
+        assert monitor.checks == len(batches) and monitor.researches == 0
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)

@@ -598,6 +598,7 @@ class TestScaleOutService:
         assert payload["store"]["labels"] == ["compas"]
         assert payload["store"]["generation"] == 1
         assert payload["store"]["versions"] == {"compas": 1}
+        assert payload["streams"] == {}
 
     def test_repeat_requests_hit_the_cache(self, scaled, session):
         pattern = {"gender": "Female"}

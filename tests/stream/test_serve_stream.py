@@ -136,6 +136,46 @@ class TestStreamedUpdates:
         assert "streamed" not in payload
 
 
+class TestStreamStats:
+    def test_stats_report_each_stream_and_a_failed_compaction(
+        self, session, tmp_path, monkeypatch
+    ):
+        def failing_compaction(ingestor):
+            raise RuntimeError("compaction failed on purpose")
+
+        monkeypatch.setattr(
+            StreamIngestor, "_compact_once", failing_compaction
+        )
+        with session.serve(name="compas") as service:
+            ingestor = session.stream(
+                tmp_path / "wal",
+                name="compas",
+                store=service.store,
+                config=StreamConfig(compact_every=1, drift_check_every=1),
+            )
+            service.attach_stream(ingestor)
+            _post(service.url + "/labels/compas/update", {"inserted": [ROW]})
+            assert ingestor.join(timeout=30)
+            status, stats = _get(service.url + "/stats")
+        assert status == 200
+        stream = stats["streams"]["compas"]
+        assert stream["compact_error"] == repr(ingestor.compact_error)
+        assert "compaction failed on purpose" in stream["compact_error"]
+        assert stream["seq"] == stream["batches"] == 1
+        assert stream["shards"] == ingestor.counter.n_shards
+        assert stream["compactions"] == 0
+        assert stream["detached"] is None
+        monitor = ingestor.drift_monitor
+        assert stream["drift"] == {
+            "checks": 1,
+            "baseline": monitor.baseline,
+            "last_check": monitor.last_check.error,
+            "researches": 0,
+            "researching": False,
+            "research_error": None,
+        }
+
+
 class TestServeCliFlags:
     def test_stream_requires_wal_dir(self, tmp_path, figure2_label_path):
         with pytest.raises(SystemExit, match="--wal-dir"):
