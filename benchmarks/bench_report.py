@@ -91,18 +91,23 @@ def _scenario(
     *,
     a_key: str = "scalar_median_s",
     b_key: str = "batch_median_s",
+    exact: bool = False,
 ) -> dict:
     """Time two equivalent paths; ``a_key``/``b_key`` name the record
     columns (scalar-vs-batch by default, single-vs-sharded for the
-    sharded backend scenarios).  ``speedup`` is always a/b."""
+    sharded backend scenarios).  ``speedup`` is always a/b.  Parity is
+    ``allclose`` unless ``exact``, which demands equal lists."""
     scalar_result = scalar()
     batch_result = batch()
-    parity = np.allclose(
-        np.asarray(scalar_result, dtype=np.float64),
-        np.asarray(batch_result, dtype=np.float64),
-        rtol=1e-9,
-        atol=1e-9,
-    )
+    if exact:
+        parity = list(scalar_result) == list(batch_result)
+    else:
+        parity = np.allclose(
+            np.asarray(scalar_result, dtype=np.float64),
+            np.asarray(batch_result, dtype=np.float64),
+            rtol=1e-9,
+            atol=1e-9,
+        )
     if not parity:
         raise AssertionError(f"scenario {name}: scalar/batch mismatch")
     scalar_s = _median_seconds(scalar, rounds)
@@ -247,6 +252,37 @@ def run(rows: int, queries: int, rounds: int, bound: int) -> dict:
             "queries": serving_queries,
             "label_size": result.label.size,
         },
+    )
+
+    # 4b. The same label under a 50%-range workload: ranges outside S
+    #     take the batch path's marginal lookups, ranges inside S its
+    #     predicate sum.  Served answers must not move by one bit, so
+    #     parity here is exact equality.  Its own generator keeps the
+    #     later scenarios' draws unchanged.
+    ranged = random_mixed_workload(
+        workload_counter, serving_queries, np.random.default_rng(4),
+        min_arity=1, max_arity=4, range_share=0.5,
+    )
+    ranged_patterns = [ranged.pattern(i) for i in range(len(ranged))]
+    in_s = set(result.label.attributes)
+    scenarios["session_estimate_many/label_ranges"] = _scenario(
+        "session_estimate_many/label_ranges",
+        lambda: [session.estimate(p) for p in ranged_patterns],
+        lambda: session.estimate_many(ranged_patterns),
+        rounds,
+        {
+            "rows": rows,
+            "queries": serving_queries,
+            "label_size": result.label.size,
+            "range_share": 0.5,
+            "ranges_in_s": sum(
+                bool(in_s & set(p.range_attributes)) for p in ranged_patterns
+            ),
+            "ranges_outside_s": sum(
+                bool(set(p.range_attributes) - in_s) for p in ranged_patterns
+            ),
+        },
+        exact=True,
     )
 
     # 5. Baseline batch dispatch (GroupedEstimateMany over estimate_codes),

@@ -83,46 +83,49 @@ class LabelEstimator:
     def estimate_many(self, patterns: Iterable[Pattern]) -> list[float]:
         """Batched ``Est(p, l)`` for a query list.
 
-        Equivalent to ``[self.estimate(p) for p in patterns]`` but the
-        restricted base counts of equality patterns come from the
-        label's cached marginal tables
-        (:meth:`~repro.core.label.Label.marginal_counts`): one
-        dictionary lookup per pattern instead of an ``O(|PC|)`` scan.
-        Range-bearing patterns take the scalar path — their base is a
-        predicate-filtered sum over ``PC``, which no marginal key can
-        serve.
+        Equal, bit for bit, to ``[self.estimate(p) for p in patterns]``.
+        When every binding a pattern makes on ``S`` is an equality (a
+        range outside ``S`` only adds an independence factor), its base
+        ``c_D(p|_S)`` is an exact ``PC`` key or else one lookup in the
+        label's cached marginal table
+        (:meth:`~repro.core.label.Label.marginal_counts`), not an
+        ``O(|PC|)`` scan.  Only a range on an attribute of ``S`` sums the
+        matching ``PC`` entries, through
+        :meth:`~repro.core.label.Label.restricted_count` as in
+        :meth:`estimate`.  Factors multiply in ``items_sorted`` order, as
+        there.
         """
-        patterns = list(patterns)
         label = self._label
+        attributes = label.attributes
         attr_set = self._attr_set
+        pc = label.pc
+        total = float(label.total)
         out: list[float] = []
         for pattern in patterns:
-            if pattern.has_ranges:
-                out.append(self.estimate(pattern))
-                continue
-            bound_in_s = tuple(
-                a for a in label.attributes if a in pattern
-            )
+            bound_in_s = tuple(a for a in attributes if a in pattern)
             if not bound_in_s:
-                base = float(label.total)
-            else:
-                exact_key = tuple(
-                    pattern.get(a) for a in label.attributes
+                base = total
+            elif pattern.has_ranges and any(
+                isinstance(pattern[a], Predicate) for a in bound_in_s
+            ):
+                base = float(
+                    label.restricted_count(pattern.restrict(attr_set))
                 )
-                if exact_key in label.pc:
-                    base = float(label.pc[exact_key])
-                else:
-                    marginal = label.marginal_counts(bound_in_s)
-                    base = float(
-                        marginal.get(
-                            tuple(pattern[a] for a in bound_in_s), 0
-                        )
+            else:
+                count = pc.get(tuple(pattern.get(a) for a in attributes))
+                if count is None:
+                    count = label.marginal_counts(bound_in_s).get(
+                        tuple(pattern[a] for a in bound_in_s), 0
                     )
+                base = float(count)
             estimate = base
             for attribute, value in pattern.items_sorted:
                 if attribute in attr_set:
                     continue
-                estimate *= label.value_fraction(attribute, value)
+                if isinstance(value, Predicate):
+                    estimate *= label.predicate_fraction(attribute, value)
+                else:
+                    estimate *= label.value_fraction(attribute, value)
             out.append(estimate)
         return out
 

@@ -28,6 +28,7 @@ normalized to half-open code runs over the attribute's sorted domain.
 from __future__ import annotations
 
 import operator
+from collections import abc
 from typing import Any, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -112,7 +113,8 @@ class Predicate:
         """
         if isinstance(spec, Predicate):
             return spec.value if spec.op == "=" else spec
-        if isinstance(spec, Mapping):
+        # The abc (not typing) Mapping: its isinstance check runs in C.
+        if isinstance(spec, abc.Mapping):
             if len(spec) != 1:
                 raise ValueError(
                     f"a predicate spec must have exactly one operator "
@@ -160,10 +162,14 @@ class Pattern(Mapping[str, Hashable]):
         self, assignments: Mapping[str, Hashable] | Iterator[tuple[str, Hashable]]
     ) -> None:
         raw = dict(assignments)
-        items = tuple(
-            (attribute, Predicate.normalize(raw[attribute]))
-            for attribute in sorted(raw)
-        )
+        items = []
+        has_ranges = False
+        for attribute in sorted(raw):
+            value = raw[attribute]
+            if type(value) is not str:  # a plain str is its own canonical form
+                value = Predicate.normalize(value)
+                has_ranges = has_ranges or isinstance(value, Predicate)
+            items.append((attribute, value))
         if not items:
             raise ValueError("a pattern must bind at least one attribute")
         for attribute, value in items:
@@ -177,17 +183,23 @@ class Pattern(Mapping[str, Hashable]):
                     f"attribute {attribute!r}: None is not a domain value "
                     "(missing values never satisfy a pattern)"
                 )
-        self._items = items
+        self._items = items = tuple(items)
         self._lookup = dict(items)
         self._hash = hash(items)
-        self._has_ranges = any(
-            isinstance(value, Predicate) for _, value in items
-        )
+        self._has_ranges = has_ranges
 
     # -- mapping protocol ---------------------------------------------------------
 
     def __getitem__(self, attribute: str) -> Hashable:
         return self._lookup[attribute]
+
+    # Direct over ``_lookup``: the ``Mapping`` defaults go through
+    # ``__getitem__`` and raise and catch a ``KeyError`` per absent key.
+    def __contains__(self, attribute: object) -> bool:
+        return attribute in self._lookup
+
+    def get(self, attribute: str, default: Any = None) -> Any:
+        return self._lookup.get(attribute, default)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._lookup)

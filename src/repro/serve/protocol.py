@@ -25,6 +25,7 @@ shape.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -107,7 +108,8 @@ class EstimateRequest:
         "30"}}`` — selecting the range predicate instead of equality
         (the operators of ``repro.core.pattern.OPS``).
         """
-        if not isinstance(payload, Mapping):
+        # The abc (not typing) Mapping: its isinstance check runs in C.
+        if not isinstance(payload, abc.Mapping):
             raise BadRequestError(
                 f"request body must be a JSON object, got "
                 f"{type(payload).__name__}"
@@ -128,7 +130,7 @@ class EstimateRequest:
                 )
         patterns = []
         for position, entry in enumerate(entries):
-            if not isinstance(entry, Mapping) or not entry:
+            if not isinstance(entry, abc.Mapping) or not entry:
                 raise BadRequestError(
                     f"pattern {position} must be a non-empty JSON object "
                     f"of attribute/value bindings, got {entry!r}"

@@ -41,13 +41,48 @@ class TestConstruction:
         assert counts[Pattern({"a": 1})] == 5
 
     def test_mapping_protocol(self):
-        pattern = Pattern({"a": 1, "b": 2})
-        assert dict(pattern) == {"a": 1, "b": 2}
+        pattern = Pattern({"a": 1, "b": {">=": "x"}})
+        assert dict(pattern) == {"a": 1, "b": Predicate(">=", "x")}
         assert set(pattern) == {"a", "b"}
+        assert "a" in pattern and "b" in pattern
+        assert "c" not in pattern and 3 not in pattern
+        assert pattern.get("b") == Predicate(">=", "x")
         assert pattern.get("c") is None
+        assert pattern.get("c", "fallback") == "fallback"
 
     def test_repr_mentions_bindings(self):
         assert "a=1" in repr(Pattern({"a": 1}))
+
+    @pytest.mark.parametrize("key", [[], {}, {"a"}])
+    def test_unhashable_keys_raise_like_the_mapping_defaults(self, key):
+        """``__contains__`` and ``get`` read ``_lookup`` directly; an
+        unhashable key still raises ``TypeError``, as the ``Mapping``
+        defaults (which go through ``__getitem__``) do."""
+        from collections.abc import Mapping
+
+        pattern = Pattern({"a": 1})
+        for lookup in (
+            lambda: key in pattern,
+            lambda: pattern.get(key),
+            lambda: Mapping.__contains__(pattern, key),
+            lambda: Mapping.get(pattern, key),
+        ):
+            with pytest.raises(TypeError, match="unhashable"):
+                lookup()
+
+    def test_string_values_skip_normalization_unchanged(self):
+        """A plain ``str`` binding is stored as given; a ``str``
+        subclass still goes through ``Predicate.normalize``, which keeps
+        it as the raw value."""
+
+        class Tag(str):
+            pass
+
+        pattern = Pattern({"a": "x", "b": Tag("y")})
+        assert pattern["a"] == "x" and type(pattern["a"]) is str
+        assert type(pattern["b"]) is Tag
+        assert not pattern.has_ranges
+        assert Pattern({"a": "x", "b": {"<": "y"}}).has_ranges
 
 
 class TestOperations:

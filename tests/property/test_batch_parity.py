@@ -430,6 +430,34 @@ def test_estimate_many_matches_estimate_for_range_backends(data_strategy):
 
 
 @SETTINGS
+@given(st.data())
+def test_label_estimate_many_is_bit_identical_to_estimate(data_strategy):
+    """``LabelEstimator.estimate_many`` equals the scalar ``estimate``
+    exactly (``==``, not ``allclose``).
+
+    The workload mixes equality patterns with ranges on attributes both
+    inside and outside ``S``.  Missing values give ``PC`` partial-support
+    keys, which the batch path must hit as exact keys, as the scalar
+    path does.  The batch runs on its own label, so its marginal tables
+    start cold, and then once more warm.
+    """
+    data = data_strategy.draw(datasets(allow_missing=True))
+    names = list(data.attribute_names)
+    subset = data_strategy.draw(
+        st.lists(st.sampled_from(names), unique=True, max_size=len(names))
+    )
+    patterns = data_strategy.draw(
+        mixed_workloads(data, max_patterns=24)
+    ) + data_strategy.draw(workloads(data))
+    counter = PatternCounter(data)
+    scalar_estimator = LabelEstimator(build_label(counter, subset))
+    scalar = [scalar_estimator.estimate(p) for p in patterns]
+    batched = LabelEstimator(build_label(counter, subset))
+    assert batched.estimate_many(patterns) == scalar
+    assert batched.estimate_many(patterns) == scalar
+
+
+@SETTINGS
 @given(datasets())
 def test_tabular_pattern_set_dispatch_matches_scalar(data):
     """PatternSet dispatch (estimate_codes fast path) stays consistent."""

@@ -143,3 +143,30 @@ class TestConcurrency:
             thread.join(timeout=30)
         assert not errors
         assert len(cache) <= 64
+
+
+class TestSketchReset:
+    def test_reset_halves_every_counter_like_the_loop(self):
+        """The window reset halves each 4-bit counter with one
+        ``translate`` per row; the counters equal a per-byte ``>>= 1``
+        loop over the same rows, and the rows stay the same objects."""
+        import random
+
+        from repro.serve.cache import _FrequencySketch
+
+        sketch = _FrequencySketch(64)
+        rng = random.Random(7)
+        for row in sketch._rows:
+            for i in range(len(row)):
+                row[i] = rng.randint(0, sketch._MAX_COUNT)
+        expected = [bytearray(row) for row in sketch._rows]
+        for row in expected:
+            for i in range(len(row)):
+                row[i] >>= 1
+        rows = list(sketch._rows)
+        sketch._ops = sketch._sample - 1
+        sketch.increment("first sighting")  # doorkeeper only, then reset
+        assert sketch._ops == 0
+        assert sketch._rows == expected
+        assert all(a is b for a, b in zip(sketch._rows, rows))
+        assert not sketch._doorkeeper and not sketch._repeats

@@ -297,6 +297,43 @@ class TestEstimateEndpoint:
         )
         assert payload["estimates"] == [0.0]
 
+    def test_mixed_64_pattern_request_matches_in_process_estimates(
+        self, service, session, figure2
+    ):
+        """One request of 64 equality and range patterns, with ranges
+        on attributes inside and outside ``S``, answers exactly the
+        in-process scalar estimates."""
+        import random
+
+        from repro.core.pattern import OPS
+
+        rng = random.Random(28)
+        names = list(figure2.attribute_names)
+        bodies = []
+        for _ in range(64):
+            attrs = rng.sample(names, rng.randint(1, len(names)))
+            body = {}
+            for attribute in attrs:
+                value = rng.choice(list(figure2.schema[attribute].categories))
+                op = rng.choice(OPS)
+                body[attribute] = value if op == "=" else {op: value}
+            bodies.append(body)
+        in_s = set(session.artifact.attributes)
+        ranged = [
+            {a for a, v in body.items() if isinstance(v, dict)}
+            for body in bodies
+        ]
+        assert any(r & in_s for r in ranged)
+        assert any(r and not r & in_s for r in ranged)
+        assert any(not r for r in ranged)
+        status, payload = _post(
+            service.url + "/labels/compas/estimate", {"patterns": bodies}
+        )
+        assert status == 200
+        assert payload["estimates"] == [
+            session.estimate(Pattern(body)) for body in bodies
+        ]
+
 
 class TestUpdateEndpoint:
     ROW = {
@@ -577,6 +614,50 @@ class TestKeepAliveDiscipline:
                 {"pattern": {"gender": "Female"}},
             )
         assert payload["label"] == "my label"
+
+
+class TestRouting:
+    """A request path becomes unquoted, non-empty parts plus its parsed
+    query.  Over HTTP, ``test_card_formats`` sends ``?format=`` and
+    ``test_label_names_with_url_special_characters`` a ``%20`` name."""
+
+    @pytest.mark.parametrize(
+        "path, parts, query",
+        [
+            ("/labels/compas/estimate", ["labels", "compas", "estimate"], {}),
+            ("/labels", ["labels"], {}),
+            ("/", [], {}),
+            ("/labels//compas/", ["labels", "compas"], {}),
+            ("/labels/my%20label", ["labels", "my label"], {}),
+            (
+                "/labels/compas/card?format=markdown",
+                ["labels", "compas", "card"],
+                {"format": ["markdown"]},
+            ),
+            ("/labels/compas#frag", ["labels", "compas"], {}),
+            ("/labels/compas;v=1", ["labels", "compas"], {}),
+            ("//host/labels", ["labels"], {}),
+        ],
+    )
+    def test_route_splits_parts_and_query(self, path, parts, query):
+        handler = SimpleNamespace(path=path)
+        assert _Handler._route(handler) == (parts, query)
+
+    @pytest.mark.parametrize(
+        "path", ["//labels/compas", "///labels/compas", "/labels//compas"]
+    )
+    def test_double_slashes_collapse(self, service, path):
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=10
+        )
+        try:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            payload = json.loads(response.read().decode())
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert payload["name"] == "compas"
 
 
 class TestScaleOutService:
